@@ -45,7 +45,7 @@ from .errors import (
     WhsymmError,
 )
 from .groups import CATALOG, build_group, commutator_subgroup, conjugacy_classes
-from .ratmat import RationalMatrix, diag_power_eval
+from .ratmat import RationalMatrix
 from .reps import character_table, fourier_matrix, irreps_for, validate_repset
 from .scalar import factor_grid, factor_rational, verify_scalar
 from .symbols import CircleGrid, LaurentPoly, RationalSymbol, eval_on_grid
@@ -224,7 +224,7 @@ def _run_reduce(job: dict):
     grid = CircleGrid(job["grid"])
     avals = assemble_matrix(gs).eval_grid(grid)
     lvals = bd.expand().eval_grid(grid)
-    recon = np.einsum("ij,njk,kl->nil", fm.matrix.conj().T, lvals, fm.matrix)
+    recon = fm.matrix.conj().T @ lvals @ fm.matrix
     checks = (
         Check("reconstruction", float(np.max(np.abs(recon - avals))), job["tol_recon"]),
     ) + unitarity_check(fm.matrix, job["tol_unitary"], "fourier_unitary").checks

@@ -11,9 +11,12 @@ construction).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .symbols import CircleGrid, LaurentPoly, RationalSymbol, eval_on_grid
+from .errors import PoleOnGridError
+from .symbols import CircleGrid, LaurentPoly, RationalSymbol
 
 Zero = RationalSymbol.zero()
 
@@ -90,48 +93,26 @@ class RationalMatrix:
     def const_mul_left(self, mat) -> "RationalMatrix":
         """Product C @ self with a constant complex matrix C."""
         m = np.asarray(mat, dtype=complex)
-        r, k = m.shape
-        if k != self.shape[0]:
+        if m.shape[1] != self.shape[0]:
             raise ValueError(f"shape mismatch {m.shape} @ {self.shape}")
-        out = []
-        for i in range(r):
-            row = []
-            for j in range(self.shape[1]):
-                acc = Zero
-                for p in range(k):
-                    if m[i, p] != 0:
-                        acc = acc + self.rows[p][j].scale(m[i, p])
-                row.append(acc)
-            out.append(row)
-        return RationalMatrix(out)
+        cols = _nonzero_lines(zip(*self.rows))
+        return RationalMatrix(
+            [[_scaled_sum(col, row) for col in cols] for row in m.tolist()]
+        )
 
     def const_mul_right(self, mat) -> "RationalMatrix":
         """Product self @ C with a constant complex matrix C."""
         m = np.asarray(mat, dtype=complex)
-        k, c = m.shape
-        if k != self.shape[1]:
+        if m.shape[0] != self.shape[1]:
             raise ValueError(f"shape mismatch {self.shape} @ {m.shape}")
-        out = []
-        for i in range(self.shape[0]):
-            row = []
-            for j in range(c):
-                acc = Zero
-                for p in range(k):
-                    if m[p, j] != 0:
-                        acc = acc + self.rows[i][p].scale(m[p, j])
-                row.append(acc)
-            out.append(row)
-        return RationalMatrix(out)
+        cols = m.T.tolist()
+        return RationalMatrix(
+            [[_scaled_sum(row, col) for col in cols] for row in _nonzero_lines(self.rows)]
+        )
 
     def eval_grid(self, grid: CircleGrid | np.ndarray) -> np.ndarray:
         """Evaluate entrywise; returns an array of shape (N, rows, cols)."""
-        pts = grid.points if isinstance(grid, CircleGrid) else np.asarray(grid, dtype=complex)
-        r, c = self.shape
-        out = np.zeros((pts.size, r, c), dtype=complex)
-        for i in range(r):
-            for j in range(c):
-                out[:, i, j] = eval_on_grid(self.rows[i][j], pts)
-        return out
+        return GridEvaluator(self)(grid.points if isinstance(grid, CircleGrid) else grid)
 
     def det(self) -> RationalSymbol:
         """Exact determinant by minor expansion with memoized subsets."""
@@ -168,6 +149,103 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.shape[0]}x{self.shape[1]})"
+
+
+def _nonzero_lines(lines) -> list[list[tuple[int, RationalSymbol]]]:
+    """Each line's structurally nonzero entries with their positions."""
+    return [[(p, e) for p, e in enumerate(line) if not e.is_zero] for line in lines]
+
+
+def _scaled_sum(line, coeffs) -> RationalSymbol:
+    """sum_p coeffs[p] * e over the (p, e) of a line, in ascending p.
+
+    Zero entries and zero coefficients are skipped: Zero + x returns x,
+    so the sum is the same object-for-object as the full n-term loop.
+    """
+    acc = Zero
+    for p, e in line:
+        c = coeffs[p]
+        if c != 0:
+            acc = acc + e.scale(c)
+    return acc
+
+
+class GridEvaluator:
+    """Pointwise evaluation plan for one RationalMatrix.
+
+    The plan evaluates each distinct entry object once and each distinct
+    denominator once, by Horner's rule over all of them together, then
+    gathers the values into a contiguous (N, rows, cols) buffer.  Entry
+    for entry the arithmetic is that of ``eval_on_grid``.  Built once per
+    matrix, it can then be applied to any number of point arrays.
+    """
+
+    __slots__ = ("shape", "where", "horner", "runs", "den_floor")
+
+    def __init__(self, m: RationalMatrix) -> None:
+        distinct: dict[int, RationalSymbol] = {}
+        for row in m.rows:
+            for e in row:
+                if not e.is_zero:
+                    distinct.setdefault(id(e), e)
+        dens: dict[bytes, np.ndarray] = {}
+        for e in distinct.values():
+            dens.setdefault(e.den.coeffs.tobytes(), e.den.coeffs)
+        den_slot = {key: d for d, key in enumerate(dens)}
+
+        def group(e: RationalSymbol) -> tuple[int, int]:
+            return den_slot[e.den.coeffs.tobytes()], e.num.min_deg
+
+        # Columns: the distinct entries grouped by denominator and power
+        # of t, then one zero column, then the distinct denominators.
+        entries = sorted(distinct.values(), key=group)
+        zero = len(entries)
+        slot = {id(e): u for u, e in enumerate(entries)}
+        self.shape = m.shape
+        self.where = np.array(
+            [slot.get(id(e), zero) for row in m.rows for e in row], dtype=np.intp
+        )
+        self.runs: list[tuple[int, int, int, int]] = []  # (power, den column, lo, hi)
+        lo = 0
+        for (d, k), run in itertools.groupby(entries, key=group):
+            hi = lo + len(list(run))
+            self.runs.append((k, zero + 1 + d, lo, hi))
+            lo = hi
+        self.den_floor = np.array(
+            [1e-13 * max(1.0, float(np.max(np.abs(c)))) for c in dens.values()]
+        )
+        # Horner rows, highest power first; shorter polynomials are padded
+        # with leading zeros, which leave np.polyval's recurrence unchanged
+        polys = [e.num.coeffs for e in entries] + [np.zeros(0)] + list(dens.values())
+        depth = max(1, max(c.size for c in polys))
+        self.horner = np.zeros((depth, len(polys)), dtype=complex)
+        for j, c in enumerate(polys):
+            self.horner[depth - c.size :, j] = c[::-1]
+
+    @property
+    def bytes_per_point(self) -> int:
+        """Bytes held per evaluation point while a call runs: the Horner
+        table, the pole test and the output buffer."""
+        return 16 * (self.where.size + self.horner.shape[1] + self.den_floor.size + 2)
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=complex).reshape(-1)
+        # one row per column of the plan, so every operation runs along
+        # the points
+        acc = np.empty((self.horner.shape[1], pts.size), dtype=complex)
+        acc[:] = self.horner[0][:, None]
+        for row in self.horner[1:]:
+            acc *= pts
+            acc += row[:, None]
+        bad = np.abs(acc[acc.shape[0] - self.den_floor.size :]) < self.den_floor[:, None]
+        if bad.any():
+            j = int(np.argmax(bad.any(axis=0)))
+            raise PoleOnGridError(f"denominator vanishes at grid point {pts[j]:.6g}")
+        for k, d, lo, hi in self.runs:
+            if k != 0:
+                acc[lo:hi] *= pts**k
+            acc[lo:hi] /= acc[d]
+        return acc.T[:, self.where].reshape(pts.size, *self.shape)
 
 
 def diag_power_eval(d: list[int], pts: np.ndarray) -> np.ndarray:

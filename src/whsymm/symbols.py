@@ -379,12 +379,6 @@ def poly_roots(p: LaurentPoly, cluster_tol: float = ROOT_CLUSTER_TOL):
     return out
 
 
-def _phase_winding(vals: np.ndarray) -> float:
-    """Total argument increment of a cyclic sample sequence, in turns."""
-    steps = np.angle(np.roll(vals, -1) / vals)
-    return float(np.sum(steps) / (2.0 * np.pi))
-
-
 def winding_index(s: RationalSymbol, circle_tol: float = CIRCLE_TOL) -> int:
     """Winding number of s around 0 as t runs over the unit circle.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvertibleOnCircleError, UndersampledError, WhsymmError
-from .ratmat import RationalMatrix, diag_power_eval
+from .ratmat import GridEvaluator, RationalMatrix
 from .symbols import (
     CIRCLE_TOL,
     PHASE_GUARD,
@@ -87,6 +87,11 @@ _WINDING_FLOOR = 1 << 14
 _WINDING_CAP = 1 << 17
 _STEP_GUARD = 1.0
 _MAG_GUARD = 0.5
+# Working memory for one chunk of determinant samples, every temporary
+# of the evaluation counted (GridEvaluator.bytes_per_point).  At order 32
+# a chunk is a few dozen points and stays in cache; a 5x5 matrix still
+# gets over a thousand points per chunk, so per-chunk overhead is noise.
+_CHUNK_BYTES = 1 << 20
 
 
 def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
@@ -104,20 +109,31 @@ def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
     zeros hug the circle tighter than the cap resolves are declined
     rather than misjudged.
 
-    Returns (winding, min |det|, max |det|) over the accepted grid.
+    Samples are taken as (det / |det|, log |det|) so that no modulus
+    over- or underflows, and the grid is evaluated and factored in
+    chunks of at most _CHUNK_BYTES working memory; only the (N,)
+    samples are held whole, and every test below runs on all of them.
+
+    Returns (winding, min log|det|, max log|det|) over the accepted grid.
     """
+    ev = GridEvaluator(m)
+    step = max(1, _CHUNK_BYTES // ev.bytes_per_point)
     n = max(n0, _WINDING_FLOOR)
     while True:
-        vals = np.linalg.det(m.eval_grid(CircleGrid(n)))
-        top = float(np.max(np.abs(vals)))
-        bottom = float(np.min(np.abs(vals)))
-        if top == 0.0 or bottom <= 1e-13 * top:
+        pts = CircleGrid(n).points
+        chunks = [np.linalg.slogdet(ev(pts[a : a + step])) for a in range(0, n, step)]
+        sign = np.concatenate([c.sign for c in chunks])
+        logabs = np.concatenate([c.logabsdet for c in chunks])
+        top = float(np.max(logabs))
+        bottom = float(np.min(logabs))
+        if top == -np.inf or bottom - top <= np.log(1e-13):
             raise NotInvertibleOnCircleError("det nearly vanishes on the circle")
-        jumps = np.abs(np.roll(vals, -1) - vals)
-        calm = bool(
-            np.all(np.maximum(jumps, np.roll(jumps, 1)) <= _MAG_GUARD * np.abs(vals))
-        )
-        steps = np.angle(np.roll(vals, -1) / vals)
+        # det at each sample's neighbors relative to det at the sample
+        with np.errstate(over="ignore", invalid="ignore"):
+            ahead = np.roll(sign, -1) / sign * np.exp(np.roll(logabs, -1) - logabs)
+            behind = np.roll(sign, 1) / sign * np.exp(np.roll(logabs, 1) - logabs)
+        calm = bool(np.all(np.maximum(np.abs(ahead - 1), np.abs(behind - 1)) <= _MAG_GUARD))
+        steps = np.angle(np.roll(sign, -1) / sign)
         turns = float(np.sum(steps) / (2.0 * np.pi))
         if (
             calm
@@ -195,8 +211,31 @@ def _factor_invertibility(m: RationalMatrix, grid_n: int, name: str) -> Check:
         name,
         float(abs(idx)),
         0.0,
-        f"|det| within [{bottom:.3g}, {top:.3g}] on the circle",
+        f"|det| within [{_exp_3g(bottom)}, {_exp_3g(top)}] on the circle",
     )
+
+
+def _exp_3g(log_abs: float) -> str:
+    """exp(log_abs) formatted as '.3g', also beyond the float range."""
+    with np.errstate(over="ignore", under="ignore"):
+        v = float(np.exp(log_abs))
+    if np.finfo(float).tiny <= v < np.inf:
+        return f"{v:.3g}"
+    e10 = log_abs / np.log(10.0)
+    k = int(np.floor(e10))
+    mant = f"{10.0 ** (e10 - k):.3g}"
+    if mant == "10":
+        mant, k = "1", k + 1
+    return f"{mant}e{k:+03d}"
+
+
+def _reconstruct(mvals: np.ndarray, d, pvals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Samples of minus diag(t**d) plus from samples of minus and plus.
+
+    The diagonal factor scales the columns of minus, so the product is
+    one batched matmul, O(N n^3).
+    """
+    return (mvals * pts[:, None, None] ** np.asarray(d)) @ pvals
 
 
 def verify_matrix_factorization(
@@ -217,10 +256,7 @@ def verify_matrix_factorization(
     minus, d, plus = fac.minus, list(fac.d), fac.plus
 
     tvals = target.eval_grid(grid)
-    mvals = minus.eval_grid(grid)
-    pvals = plus.eval_grid(grid)
-    dvals = diag_power_eval(d, grid.points)
-    recon = np.einsum("nij,njk,nkl->nil", mvals, dvals, pvals)
+    recon = _reconstruct(minus.eval_grid(grid), d, plus.eval_grid(grid), grid.points)
     checks.append(Check("reconstruction", float(np.max(np.abs(recon - tvals))), recon_tol))
 
     try:

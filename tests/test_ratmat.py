@@ -8,8 +8,9 @@ computation on sampled values.
 import numpy as np
 import pytest
 
-from whsymm import CircleGrid, LaurentPoly, RationalMatrix, RationalSymbol
-from whsymm.ratmat import diag_power_eval
+from whsymm import CircleGrid, LaurentPoly, PoleOnGridError, RationalMatrix, RationalSymbol
+from whsymm.ratmat import Zero, diag_power_eval
+from whsymm.symbols import eval_on_grid
 
 from conftest import random_symbol
 
@@ -81,6 +82,27 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             random_matrix(rng, 2, 3) @ random_matrix(rng, 2, 3)
 
+    def test_const_mul_matches_full_loop_on_block_diagonal(self):
+        # the n-term sums, zero terms included, as a plain reference
+        def left(c, m):
+            out = [[Zero] * m.shape[1] for _ in range(c.shape[0])]
+            for i in range(c.shape[0]):
+                for j in range(m.shape[1]):
+                    for p in range(c.shape[1]):
+                        if c[i, p] != 0:
+                            out[i][j] = out[i][j] + m[p, j].scale(c[i, p])
+            return out
+
+        rng = np.random.default_rng(5050_10)
+        m = RationalMatrix.block_diag(
+            [random_matrix(rng, 2, 2), random_matrix(rng, 1, 1), random_matrix(rng, 2, 2)]
+        )
+        c = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        c[1, 3] = c[4, 0] = 0.0
+        assert m.const_mul_left(c).rows == left(c, m)
+        want_right = left(c.T, m.transpose())
+        assert m.const_mul_right(c).transpose().rows == want_right
+
     def test_const_mul_both_sides(self):
         rng = np.random.default_rng(5050_05)
         pts = CircleGrid(16).points
@@ -131,6 +153,29 @@ class TestEvaluation:
         g = CircleGrid(8)
         assert m.eval_grid(g).shape == (8, 2, 2)
         assert m.eval_grid(np.array([0.5, 2.0])).shape == (2, 2, 2)
+
+    def test_eval_grid_matches_entrywise(self):
+        a = RationalSymbol(LaurentPoly(-2, [1.0, 0.5j, 2.0]), LaurentPoly.from_roots([0.5]))
+        b = RationalSymbol(LaurentPoly(1, [3.0, -1.0]), LaurentPoly.from_roots([2.5, -0.3j]))
+        # c shares a's denominator by value, not by object
+        c = RationalSymbol(LaurentPoly(-1, [1.5]), LaurentPoly.from_roots([0.5]))
+        d = RationalSymbol(LaurentPoly(0, [0.25, 1.0, 0.0, 2.0j]))
+        z = RationalSymbol.zero()
+        m = RationalMatrix([[a, z, b, d], [b, a, c, z], [z, c, a, d]])
+        rng = np.random.default_rng(5050_11)
+        shared = [random_symbol(rng) for _ in range(3)]
+        r = RationalMatrix([[shared[k] for k in rng.integers(0, 3, 4)] for _ in range(4)])
+        for mat in (m, r, RationalMatrix([[z, z], [z, z]])):
+            for pts in (CircleGrid(64).points, np.array([0.3, 2.0]), np.array([0.5j, -1.7])):
+                want = np.array([[eval_on_grid(e, pts) for e in row] for row in mat.rows])
+                assert np.array_equal(mat.eval_grid(pts), np.moveaxis(want, 2, 0))
+
+    def test_eval_grid_pole_on_grid(self):
+        pole = RationalSymbol(LaurentPoly.const(1.0), LaurentPoly.from_roots([-1.0]))
+        m = RationalMatrix([[RationalSymbol.const(2.0), pole]])
+        with pytest.raises(PoleOnGridError):
+            m.eval_grid(CircleGrid(8))
+        assert m.eval_grid(np.array([0.5]))[0, 0, 1] == pytest.approx(1 / 1.5)
 
     def test_diag_power_eval(self):
         pts = CircleGrid(8).points

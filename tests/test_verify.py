@@ -9,24 +9,33 @@ Verifier checks are exercised with deliberate mutations of a correct
 factorization, one designated failing check per mutation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from whsymm import (
     Check,
     CircleGrid,
+    GroupSymbol,
     LaurentPoly,
     NotInvertibleOnCircleError,
+    PoleOnGridError,
     RationalMatrix,
     RationalSymbol,
     UndersampledError,
     VerificationReport,
+    assemble_matrix,
+    build_group,
     det_index_oracle,
+    factor_group_symbol,
     factor_triangular_2x2,
     unitarity_check,
     verify_matrix_factorization,
 )
+from whsymm import verify
 from whsymm.blocks import MatrixFactorization
+from whsymm.ratmat import GridEvaluator, diag_power_eval
 
 DECLINE = (UndersampledError, NotInvertibleOnCircleError)
 
@@ -134,6 +143,32 @@ class TestDetIndexOracle:
         assert det_index_oracle(m, 512) == 1
         assert det_index_oracle(m, CircleGrid(1024)) == 1
 
+    def test_determinant_beyond_float_range(self):
+        # |det| = c^4 |t - 0.5|^4 is 1e400 or 1e-400 here: the samples
+        # must carry their modulus as a logarithm, not as a float
+        z = RationalSymbol.zero()
+        for c in (1e100, 1e-100):
+            e = RationalSymbol.from_poly(LaurentPoly.from_roots([0.5], c))
+            m = RationalMatrix([[e if i == j else z for j in range(4)] for i in range(4)])
+            assert det_index_oracle(m) == 4
+
+    def test_chunk_boundaries_are_invisible(self, monkeypatch):
+        mats = [planted_det_matrix([r, r]) for r in (0.999, 0.999j)]
+        want = [verify._det_winding(m, 512) for m in mats]
+        # a few points per chunk, and chunks that do not divide the grid
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 3000)
+        assert [verify._det_winding(m, 512) for m in mats] == want
+
+    def test_pole_in_a_later_chunk(self, monkeypatch):
+        # the denominator vanishes only at t = -1, halfway round the grid
+        pole = RationalSymbol(LaurentPoly.const(1.0), LaurentPoly.from_roots([-1.0]))
+        m = RationalMatrix([[pole, RationalSymbol.zero()], [RationalSymbol.zero(), pole]])
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 1 << 12)
+        step = verify._CHUNK_BYTES // GridEvaluator(m).bytes_per_point
+        assert 0 < step < verify._WINDING_FLOOR // 2
+        with pytest.raises(PoleOnGridError, match=r"grid point -1\+"):
+            det_index_oracle(m)
+
 
 def good_case():
     z = RationalSymbol.zero()
@@ -235,6 +270,56 @@ class TestVerifyMatrixFactorization:
         byname = {c.name: c for c in report.checks}
         assert byname["minus_entries_analytic"].passed
         assert not byname["det_minus_invertible"].passed
+
+    def test_reconstruction_matches_three_factor_einsum(self):
+        target, fac = good_case()
+        grid = CircleGrid(512)
+        mvals, pvals = fac.minus.eval_grid(grid), fac.plus.eval_grid(grid)
+        want = np.einsum(
+            "nij,njk,nkl->nil", mvals, diag_power_eval(list(fac.d), grid.points), pvals
+        )
+        got = verify._reconstruct(mvals, fac.d, pvals, grid.points)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_det_detail_matches_dense_determinant(self):
+        target, fac = good_case()
+        report = verify_matrix_factorization(target, fac)
+        byname = {c.name: c for c in report.checks}
+        for name, m in (("det_minus_invertible", fac.minus), ("det_plus_invertible", fac.plus)):
+            mods = np.abs(np.linalg.det(m.eval_grid(CircleGrid(verify._WINDING_FLOOR))))
+            want = f"|det| within [{mods.min():.3g}, {mods.max():.3g}] on the circle"
+            assert byname[name].detail == want
+
+    def test_det_detail_beyond_float_range(self):
+        # |det| = 1e400 |t - 2|^4 lies in [1e400, 81e400] on the circle
+        z = RationalSymbol.zero()
+        e = RationalSymbol.from_poly(LaurentPoly.from_roots([2.0], 1e100))
+        m = RationalMatrix([[e if i == j else z for j in range(4)] for i in range(4)])
+        check = verify._factor_invertibility(m, 512, "det_plus_invertible")
+        assert check.passed
+        assert check.detail == "|det| within [1e+400, 8.1e+401] on the circle"
+
+    def test_memory_is_bounded_at_order_16(self):
+        # A cyclic(16) factorization; its dense determinant samples on the
+        # 2^14-point floor alone would take 67 MB.  The identity
+        # coefficient dominates, so every block stays well-posed.
+        rng = np.random.default_rng(7016)
+        lead = RationalSymbol(LaurentPoly.from_roots([0.5, 3.0], 4.0), LaurentPoly.from_roots([0.2]))
+        small = [
+            RationalSymbol.from_poly(LaurentPoly(-1, 0.05 * rng.normal(size=3)))
+            for _ in range(15)
+        ]
+        gs = GroupSymbol(build_group({"kind": "cyclic", "n": 16}), [lead] + small)
+        fac = factor_group_symbol(gs)
+        target = assemble_matrix(gs)
+        tracemalloc.start()
+        try:
+            report = verify_matrix_factorization(target, fac)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed, report.to_text()
+        assert peak < 25e6
 
     def test_singular_target_reported_honestly(self):
         # target determinant vanishes on the circle: index_sum cannot be
