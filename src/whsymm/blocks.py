@@ -297,38 +297,26 @@ def partial_indices(bd: BlockDiagonal) -> IndexReport:
     pos = 1
     for k, (d, block) in enumerate(zip(bd.degrees, bd.blocks)):
         if d == 1:
-            entry = block[0, 0]
-            try:
-                rho = winding_index(entry)
-            except NotInvertibleOnCircleError as exc:
-                raise IllPosedSymbolError(
-                    f"block {k + 1} (scalar) is not invertible on the circle: {exc}",
-                    where=f"block {k + 1}",
-                ) from exc
-            infos.append(
-                BlockIndexInfo(k, 1, rho, (rho,), (pos,))
-            )
-            explicit.append((pos, rho))
-            total += rho
-            pos += 1
-            continue
-        det = block.det()
+            sym, what = block[0, 0], f"block {k + 1} (scalar)"
+        else:
+            sym, what = block.det(), f"det of block {k + 1}"
         try:
-            ind_det = winding_index(det)
+            ind = winding_index(sym)
         except NotInvertibleOnCircleError as exc:
             raise IllPosedSymbolError(
-                f"det of block {k + 1} is not invertible on the circle: {exc}",
-                where=f"block {k + 1}",
+                f"{what} is not invertible on the circle: {exc}", where=f"block {k + 1}"
             ) from exc
-        first_copy = tuple(range(pos, pos + d))
-        all_pos = tuple(range(pos, pos + d * d))
-        infos.append(BlockIndexInfo(k, d, ind_det, None, all_pos))
-        lhs = " + ".join(f"rho_{p}" for p in first_copy)
-        relations.append(f"{lhs} = ind det Lambda_{k + 1} = {ind_det}")
-        for copy in range(1, d):
-            for i in range(d):
-                relations.append(f"rho_{pos + copy * d + i} = rho_{pos + i}")
-        total += d * ind_det
+        if d == 1:
+            infos.append(BlockIndexInfo(k, 1, ind, (ind,), (pos,)))
+            explicit.append((pos, ind))
+        else:
+            infos.append(BlockIndexInfo(k, d, ind, None, tuple(range(pos, pos + d * d))))
+            lhs = " + ".join(f"rho_{p}" for p in range(pos, pos + d))
+            relations.append(f"{lhs} = ind det Lambda_{k + 1} = {ind}")
+            for copy in range(1, d):
+                for i in range(d):
+                    relations.append(f"rho_{pos + copy * d + i} = rho_{pos + i}")
+        total += d * ind
         pos += d * d
     return IndexReport(
         group_name=bd.repset.group.name,
@@ -531,11 +519,6 @@ def factor_block(block: RationalMatrix) -> MatrixFactorization | None:
     else.
     """
     d = block.shape[0]
-    if d == 1:
-        f = factor_rational(block[0, 0])
-        return MatrixFactorization(
-            RationalMatrix([[f.minus]]), (f.index,), RationalMatrix([[f.plus]])
-        )
     scale = _coeff_scale(block)
     off_diag_zero = all(
         _snapped_zero(block[i, j], scale)
@@ -544,15 +527,12 @@ def factor_block(block: RationalMatrix) -> MatrixFactorization | None:
         if i != j
     )
     if off_diag_zero:
-        zero = RationalSymbol.zero()
         facs = [factor_rational(block[i, i]) for i in range(d)]
-        minus = RationalMatrix(
-            [[facs[i].minus if i == j else zero for j in range(d)] for i in range(d)]
+        return MatrixFactorization(
+            RationalMatrix.diag([f.minus for f in facs]),
+            tuple(f.index for f in facs),
+            RationalMatrix.diag([f.plus for f in facs]),
         )
-        plus = RationalMatrix(
-            [[facs[i].plus if i == j else zero for j in range(d)] for i in range(d)]
-        )
-        return MatrixFactorization(minus, tuple(f.index for f in facs), plus)
     if d != 2:
         return None
     if _snapped_zero(block[1, 0], scale):
@@ -595,19 +575,12 @@ def assemble_full_factorization(
             f"blocks {missing} are outside the factorization catalog",
             index_report=partial_indices(bd),
         )
-    minus_blocks = []
-    plus_blocks = []
-    d: list[int] = []
-    for deg, fac in zip(bd.degrees, factors):
-        for _ in range(deg):
-            minus_blocks.append(fac.minus)
-            plus_blocks.append(fac.plus)
-            d.extend(fac.d)
-    lam_minus = RationalMatrix.block_diag(minus_blocks)
-    lam_plus = RationalMatrix.block_diag(plus_blocks)
+    lam_minus = BlockDiagonal(bd.repset, tuple(f.minus for f in factors)).expand()
+    lam_plus = BlockDiagonal(bd.repset, tuple(f.plus for f in factors)).expand()
+    d = tuple(k for deg, f in zip(bd.degrees, factors) for _ in range(deg) for k in f.d)
     minus = lam_minus.const_mul_left(fourier.matrix.conj().T)
     plus = lam_plus.const_mul_right(fourier.matrix)
-    return MatrixFactorization(minus, tuple(d), plus)
+    return MatrixFactorization(minus, d, plus)
 
 
 def factor_group_symbol(

@@ -22,7 +22,7 @@ from .blocks import MatrixFactorization, _CommonDen
 from .errors import IllPosedSymbolError, NotInvertibleOnCircleError
 from .groups import CenterStructure, FiniteGroup, center_structure, conjugacy_classes
 from .ratmat import RationalMatrix
-from .reps import CharacterTable, RepSet, character_table, irreps_for
+from .reps import CharacterTable, RepSet, center_fourier, character_table, irreps_for
 from .scalar import ScalarFactorization, factor_rational
 from .symbols import RationalSymbol
 
@@ -65,7 +65,6 @@ def assemble_center_matrix(
     entry (m, j) = sum_i a_i c[i, j, m]."""
     st = structure if structure is not None else center_structure(cs.group)
     c = st.constants
-    s = c.shape[0]
     ctx = _CommonDen(cs.coeffs)
     weights = np.transpose(c, (0, 2, 1)).astype(complex)  # [i][m][j]
     return ctx.combine(weights)
@@ -92,15 +91,13 @@ def center_factorize(
 ) -> CenterFactorization:
     """Explicit factorization of the center-basis matrix.
 
-    minus[i][j] = Lambda_j_minus * conj(chi_j(K_i)) / sqrt(n)
-    plus[i][j]  = h_j * Lambda_i_plus * chi_i(K_j) / sqrt(n)
-
-    so that minus picks up the inverse character matrix and plus the
-    direct one; the diagonal middle carries one winding index per class.
+    The matrix is F^-1 diag(Lambda_j) F with F the center Fourier matrix
+    (center_fourier), so minus = F^-1 diag(Lambda_j_minus) and
+    plus = diag(Lambda_j_plus) F; the diagonal middle carries one
+    winding index per class.
     """
     rs = repset if repset is not None else irreps_for(cs.group)
     ct = character_table(rs)
-    part = ct.partition
     lambdas = center_diagonalize(cs, ct)
     facs = []
     for j, lam in enumerate(lambdas):
@@ -112,22 +109,9 @@ def center_factorize(
                 where=f"class {j + 1}",
             ) from exc
 
-    s = part.count
-    n = cs.group.order
-    sq = np.sqrt(n)
-    h = part.sizes
-    minus = RationalMatrix(
-        [
-            [facs[j].minus.scale(np.conj(ct.values[j, i]) / sq) for j in range(s)]
-            for i in range(s)
-        ]
-    )
-    plus = RationalMatrix(
-        [
-            [facs[i].plus.scale(h[j] * ct.values[i, j] / sq) for j in range(s)]
-            for i in range(s)
-        ]
-    )
+    fc = center_fourier(ct)
+    minus = RationalMatrix.diag([f.minus for f in facs]).const_mul_left(fc.inverse)
+    plus = RationalMatrix.diag([f.plus for f in facs]).const_mul_right(fc.matrix)
     d = tuple(f.index for f in facs)
     return CenterFactorization(
         MatrixFactorization(minus, d, plus), tuple(lambdas), tuple(facs)

@@ -9,7 +9,8 @@ Exit status: 0 all verifications passed; 1 a verification failed (or an
 unexpected error); 2 input document problem; 3 mathematically ill-posed
 input (a block or class is not invertible on the circle, or the grid
 cannot resolve it); 4 unsupported group; 5 factorization incomplete
-(index report still emitted).
+(index report still emitted).  Each error class in ``whsymm.errors``
+carries its code as ``exit_code``.
 """
 
 from __future__ import annotations
@@ -30,26 +31,21 @@ from .blocks import (
     symbol_from_blocks,
 )
 from .center import assemble_center_matrix, center_factorize
-from .errors import (
-    DegreeCapError,
-    DocumentError,
-    GroupConstructionError,
-    IllPosedSymbolError,
-    NotInvertibleOnCircleError,
-    PartialFactorizationError,
-    PoleOnGridError,
-    RepValidationError,
-    SymbolDivisionError,
-    UndersampledError,
-    UnsupportedGroupError,
-    WhsymmError,
-)
+from .errors import DocumentError, PartialFactorizationError, RepValidationError, WhsymmError
 from .groups import CATALOG, build_group, commutator_subgroup, conjugacy_classes
 from .ratmat import RationalMatrix
 from .reps import character_table, fourier_matrix, irreps_for, validate_repset
 from .scalar import factor_grid, factor_rational, verify_scalar
 from .symbols import CircleGrid, LaurentPoly, RationalSymbol, eval_on_grid
-from .verify import Check, VerificationReport, unitarity_check, verify_matrix_factorization
+from .verify import (
+    RECON_TOL,
+    UNITARY_TOL,
+    Check,
+    VerificationReport,
+    reconstruction_check,
+    unitarity_check,
+    verify_matrix_factorization,
+)
 
 MODES = (
     "reduce",
@@ -63,8 +59,8 @@ MODES = (
 
 _DEFAULTS = {
     "grid": 512,
-    "tol_recon": 1e-10,
-    "tol_unitary": 1e-12,
+    "tol_recon": RECON_TOL,
+    "tol_unitary": UNITARY_TOL,
     "engine": "exact",
     "seed": 0,
     "count": 20,
@@ -226,7 +222,7 @@ def _run_reduce(job: dict):
     lvals = bd.expand().eval_grid(grid)
     recon = fm.matrix.conj().T @ lvals @ fm.matrix
     checks = (
-        Check("reconstruction", float(np.max(np.abs(recon - avals))), job["tol_recon"]),
+        reconstruction_check([(recon, avals)], job["tol_recon"]),
     ) + unitarity_check(fm.matrix, job["tol_unitary"], "fourier_unitary").checks
     report = VerificationReport(checks, subject="block reduction")
 
@@ -247,6 +243,15 @@ def _run_indices(job: dict):
     return docs.serialize_index_report(report), report.describe(), 0
 
 
+def _verified(doc: dict, report: VerificationReport):
+    """The result document with its report last, or the report alone
+    when a check failed."""
+    if not report.passed:
+        return {"report": docs.serialize_report(report)}, report.to_text(), 1
+    doc["report"] = docs.serialize_report(report)
+    return doc, report.to_text(), 0
+
+
 def _run_factorize_scalar(job: dict):
     s = docs.parse_symbol(job["scalar"], "scalar")
     if job["engine"] == "grid":
@@ -255,13 +260,7 @@ def _run_factorize_scalar(job: dict):
         minus, rho, plus = factor_grid(samples)
         recon = minus * grid.points**rho * plus
         report = VerificationReport(
-            (
-                Check(
-                    "reconstruction",
-                    float(np.max(np.abs(recon - samples))),
-                    job["tol_recon"],
-                ),
-            ),
+            (reconstruction_check([(recon, samples)], job["tol_recon"]),),
             subject="scalar factorization (grid engine)",
         )
         doc = {
@@ -270,24 +269,18 @@ def _run_factorize_scalar(job: dict):
             "index": int(rho),
             "minus_samples": [docs._pair(z) for z in minus],
             "plus_samples": [docs._pair(z) for z in plus],
-            "report": docs.serialize_report(report),
         }
-        if not report.passed:
-            doc = {"report": docs.serialize_report(report)}
-        return doc, report.to_text(), 0 if report.passed else 1
+        return _verified(doc, report)
 
     fac = factor_rational(s)
     report = verify_scalar(s, fac, recon_tol=job["tol_recon"], grid_n=job["grid"])
-    if not report.passed:
-        return {"report": docs.serialize_report(report)}, report.to_text(), 1
     doc = {
         "engine": "exact",
         "minus": docs.serialize_symbol(fac.minus),
         "index": int(fac.index),
         "plus": docs.serialize_symbol(fac.plus),
-        "report": docs.serialize_report(report),
     }
-    return doc, report.to_text(), 0
+    return _verified(doc, report)
 
 
 def _run_factorize(job: dict):
@@ -300,11 +293,7 @@ def _run_factorize(job: dict):
     report = verify_matrix_factorization(
         assemble_matrix(gs), fac, recon_tol=job["tol_recon"], grid_n=job["grid"]
     )
-    if not report.passed:
-        return {"report": docs.serialize_report(report)}, report.to_text(), 1
-    doc = docs.serialize_factorization(fac)
-    doc["report"] = docs.serialize_report(report)
-    return doc, report.to_text(), 0
+    return _verified(docs.serialize_factorization(fac), report)
 
 
 def _run_center_factorize(job: dict):
@@ -318,12 +307,9 @@ def _run_center_factorize(job: dict):
         recon_tol=job["tol_recon"],
         grid_n=job["grid"],
     )
-    if not report.passed:
-        return {"report": docs.serialize_report(report)}, report.to_text(), 1
     doc = docs.serialize_factorization(cf.factorization)
     doc["eigenvalues"] = [docs.serialize_symbol(s) for s in cf.eigenvalues]
-    doc["report"] = docs.serialize_report(report)
-    return doc, report.to_text(), 0
+    return _verified(doc, report)
 
 
 def _run_verify(job: dict):
@@ -477,31 +463,12 @@ def main(argv=None) -> int:
     try:
         job = _build_job(args)
         doc, text, status = _HANDLERS[job["mode"]](job)
-    except (DocumentError, GroupConstructionError, RepValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedGroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except PartialFactorizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.index_report is not None:
-            print(exc.index_report.describe(), file=sys.stderr)
-            _emit(docs.serialize_index_report(exc.index_report), "", getattr(args, "out", None))
-        return 5
-    except (
-        IllPosedSymbolError,
-        NotInvertibleOnCircleError,
-        PoleOnGridError,
-        UndersampledError,
-        SymbolDivisionError,
-        DegreeCapError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except WhsymmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, PartialFactorizationError) and exc.index_report is not None:
+            print(exc.index_report.describe(), file=sys.stderr)
+            _emit(docs.serialize_index_report(exc.index_report), "", getattr(args, "out", None))
+        return exc.exit_code
     _emit(doc, text, job.get("out"))
     return status
 

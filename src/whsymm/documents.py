@@ -15,6 +15,7 @@ byte-identical documents.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -35,9 +36,9 @@ from .verify import VerificationReport
 
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
-        # reports can carry infinite residuals; clamp to a sentinel that
-        # any JSON parser accepts
-        return "1e308" if x > 0 else "-1e308"
+        # reports can carry infinite or NaN residuals; clamp to a sentinel
+        # any JSON parser accepts, NaN to +1e308 so it never reads as a pass
+        return "-1e308" if x < 0 else "1e308"
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return format(x, ".17g")
@@ -58,7 +59,7 @@ def _write(obj, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):

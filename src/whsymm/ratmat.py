@@ -46,9 +46,15 @@ class RationalMatrix:
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        one = RationalSymbol.const(1.0)
+        return RationalMatrix.diag([RationalSymbol.const(1.0)] * n)
+
+    @staticmethod
+    def diag(entries) -> "RationalMatrix":
+        """Square matrix with the given diagonal and Zero elsewhere."""
+        entries = list(entries)
+        n = len(entries)
         return RationalMatrix(
-            [[one if i == j else Zero for j in range(n)] for i in range(n)]
+            [[e if i == j else Zero for j in range(n)] for i, e in enumerate(entries)]
         )
 
     @staticmethod

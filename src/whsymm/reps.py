@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import RepValidationError, UnsupportedGroupError, WhsymmError
 from .groups import ConjugacyPartition, FiniteGroup, build_group, conjugacy_classes
-from .verify import Check, VerificationReport
+from .verify import UNITARY_TOL, Check, VerificationReport
 
-UNITARY_TOL = 1e-12
 REPSET_TOL = 1e-10
 
 EPS = complex((-1.0 + 1j * np.sqrt(3.0)) / 2.0)  # primitive cube root of unity
@@ -89,16 +88,6 @@ class FourierMatrixCenter:
     matrix: np.ndarray
     inverse: np.ndarray
     partition: ConjugacyPartition
-
-
-def inner_product(a, b) -> complex:
-    """Normalized inner product (1/|G|) sum_g a(g) conj(b(g)) of two
-    functions given as vectors over the element enumeration."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.sum(a * np.conj(b)) / a.size)
 
 
 # ----------------------------------------------------------------------

@@ -21,16 +21,17 @@ import numpy as np
 
 from .errors import NotInvertibleOnCircleError, UndersampledError
 from .symbols import (
-    CIRCLE_TOL,
     PHASE_GUARD,
     CircleGrid,
     LaurentPoly,
     RationalSymbol,
     eval_on_grid,
-    poly_roots,
+    inside_excess,
+    outside_excess,
+    split_by_circle,
     winding_index,
 )
-from .verify import Check, VerificationReport
+from .verify import RECON_TOL, Check, VerificationReport, reconstruction_check
 
 
 @dataclass(frozen=True)
@@ -38,18 +39,6 @@ class ScalarFactorization:
     minus: RationalSymbol
     index: int
     plus: RationalSymbol
-
-
-def _split_by_circle(poly: LaurentPoly) -> tuple[list[complex], list[complex]]:
-    inside: list[complex] = []
-    outside: list[complex] = []
-    for root, mult in poly_roots(poly):
-        if abs(abs(root) - 1.0) < CIRCLE_TOL:
-            raise NotInvertibleOnCircleError(
-                f"root {root:.8g} lies within {CIRCLE_TOL:g} of the unit circle"
-            )
-        (inside if abs(root) < 1.0 else outside).extend([root] * mult)
-    return inside, outside
 
 
 def factor_rational(s: RationalSymbol) -> ScalarFactorization:
@@ -62,8 +51,8 @@ def factor_rational(s: RationalSymbol) -> ScalarFactorization:
     if s.is_zero:
         raise NotInvertibleOnCircleError("cannot factor the zero symbol")
     idx = winding_index(s)
-    zeros_in, zeros_out = _split_by_circle(s.num)
-    poles_in, poles_out = _split_by_circle(s.den)
+    zeros_in, zeros_out = split_by_circle(s.num)
+    poles_in, poles_out = split_by_circle(s.den)
 
     minus_num = LaurentPoly.from_roots(zeros_in).shift(len(poles_in) - len(zeros_in))
     minus = RationalSymbol(minus_num, LaurentPoly.from_roots(poles_in))
@@ -129,7 +118,7 @@ def factor_grid(samples) -> tuple[np.ndarray, int, np.ndarray]:
 def verify_scalar(
     s: RationalSymbol,
     fac: ScalarFactorization,
-    recon_tol: float = 1e-10,
+    recon_tol: float = RECON_TOL,
     grid_n: int = 512,
 ) -> VerificationReport:
     """Certify a scalar factorization against its target symbol."""
@@ -141,37 +130,27 @@ def verify_scalar(
         * grid.points**fac.index
         * eval_on_grid(fac.plus, grid)
     )
-    checks.append(Check("reconstruction", float(np.max(np.abs(recon - target))), recon_tol))
+    checks.append(reconstruction_check([(recon, target)], recon_tol))
 
-    v = 0.0
-    if fac.minus.is_zero:
-        v = float("inf")
-    else:
-        for poly in (fac.minus.num, fac.minus.den):
-            for root, mult in poly_roots(poly):
-                if abs(root) >= 1.0 - CIRCLE_TOL:
-                    v = max(v, abs(root) - 1.0 + CIRCLE_TOL)
-        balance = fac.minus.num.max_deg - fac.minus.den.max_deg
+    minus, plus = fac.minus, fac.plus
+    v = float("inf")
+    if not minus.is_zero:
+        v = max(outside_excess(minus.num), outside_excess(minus.den))
+        balance = minus.num.max_deg - minus.den.max_deg
         if balance != 0:
             v = max(v, float(abs(balance)))
     checks.append(Check("minus_analytic_outside", v, 0.0))
 
-    if not fac.minus.is_zero and fac.minus.num.max_deg == fac.minus.den.max_deg:
-        at_inf = fac.minus.num.coeffs[-1] / fac.minus.den.coeffs[-1]
-        checks.append(Check("minus_normalized_at_infinity", float(abs(at_inf - 1.0)), 1e-12))
-    else:
-        checks.append(Check("minus_normalized_at_infinity", float("inf"), 1e-12))
+    v = float("inf")
+    if not minus.is_zero and minus.num.max_deg == minus.den.max_deg:
+        v = float(abs(minus.num.coeffs[-1] / minus.den.coeffs[-1] - 1.0))
+    checks.append(Check("minus_normalized_at_infinity", v, 1e-12))
 
-    v = 0.0
-    if fac.plus.is_zero:
-        v = float("inf")
-    else:
-        for poly in (fac.plus.num, fac.plus.den):
-            for root, mult in poly_roots(poly):
-                if abs(root) <= 1.0 + CIRCLE_TOL:
-                    v = max(v, 1.0 + CIRCLE_TOL - abs(root))
-        if fac.plus.num.min_deg != 0:
-            v = max(v, float(abs(fac.plus.num.min_deg)))
+    v = float("inf")
+    if not plus.is_zero:
+        v = max(inside_excess(plus.num), inside_excess(plus.den))
+        if plus.num.min_deg != 0:
+            v = max(v, float(abs(plus.num.min_deg)))
     checks.append(Check("plus_analytic_inside", v, 0.0))
 
     try:

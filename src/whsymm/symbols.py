@@ -17,7 +17,7 @@ from .errors import (
     NotInvertibleOnCircleError,
     PoleOnGridError,
     SymbolDivisionError,
-    WhsymmError,
+    UndersampledError,
 )
 
 # Degree cap for companion-matrix root finding.
@@ -36,10 +36,11 @@ class LaurentPoly:
     ``coeffs[j]`` is the coefficient of ``t**(min_deg + j)``.  Exactly-zero
     coefficients at both ends are trimmed on construction, so ``min_deg``
     and ``max_deg`` are sharp.  The zero polynomial is stored with empty
-    coefficients and ``min_deg == 0``.
+    coefficients and ``min_deg == 0``.  Coefficients are never written
+    after construction, so the root set is computed once (circle_roots).
     """
 
-    __slots__ = ("min_deg", "coeffs")
+    __slots__ = ("min_deg", "coeffs", "_roots")
 
     def __init__(self, min_deg: int, coeffs) -> None:
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
@@ -52,6 +53,7 @@ class LaurentPoly:
         else:
             self.min_deg = int(min_deg) + int(nz[0])
             self.coeffs = c[nz[0] : nz[-1] + 1].copy()
+        self._roots = None
 
     # -- constructors -------------------------------------------------
 
@@ -146,7 +148,8 @@ class LaurentPoly:
         return self.min_deg == other.min_deg and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.min_deg, self.coeffs.tobytes()))
+        # adding 0.0 turns -0.0 into 0.0, which == already treats as equal
+        return hash((self.min_deg, (self.coeffs + 0.0).tobytes()))
 
     def allclose(self, other: "LaurentPoly", tol: float = 1e-12) -> bool:
         d = self - other
@@ -379,26 +382,64 @@ def poly_roots(p: LaurentPoly, cluster_tol: float = ROOT_CLUSTER_TOL):
     return out
 
 
-def winding_index(s: RationalSymbol, circle_tol: float = CIRCLE_TOL) -> int:
+def circle_roots(p: LaurentPoly) -> list[tuple[complex, int]]:
+    """``poly_roots(p)``, computed once per polynomial object."""
+    if p._roots is None:
+        p._roots = poly_roots(p)
+    return p._roots
+
+
+def split_by_circle(p: LaurentPoly) -> tuple[list[complex], list[complex]]:
+    """Roots of p inside and outside the unit circle, each repeated by
+    its multiplicity, in ``poly_roots`` order.
+
+    This is the one place a root is classified against the circle.  A
+    root within CIRCLE_TOL of it makes every index untrusted and raises.
+    """
+    inside: list[complex] = []
+    outside: list[complex] = []
+    for root, mult in circle_roots(p):
+        if abs(abs(root) - 1.0) < CIRCLE_TOL:
+            raise NotInvertibleOnCircleError(
+                f"root {root:.8g} lies within {CIRCLE_TOL:g} of the unit circle"
+            )
+        (inside if abs(root) < 1.0 else outside).extend([root] * mult)
+    return inside, outside
+
+
+def outside_excess(p: LaurentPoly) -> float:
+    """How far the roots of p reach into {|t| >= 1 - CIRCLE_TOL}: 0 when
+    every root lies strictly inside that margin."""
+    v = 0.0
+    for root, _ in circle_roots(p):
+        if abs(root) >= 1.0 - CIRCLE_TOL:
+            v = max(v, abs(root) - 1.0 + CIRCLE_TOL)
+    return v
+
+
+def inside_excess(p: LaurentPoly) -> float:
+    """How far the roots of p reach into {|t| <= 1 + CIRCLE_TOL}: 0 when
+    every root lies strictly outside that margin."""
+    v = 0.0
+    for root, _ in circle_roots(p):
+        if abs(root) <= 1.0 + CIRCLE_TOL:
+            v = max(v, 1.0 + CIRCLE_TOL - abs(root))
+    return v
+
+
+def winding_index(s: RationalSymbol) -> int:
     """Winding number of s around 0 as t runs over the unit circle.
 
     Computed exactly from root locations (zeros inside minus poles
     inside, plus the net power of t), then cross-checked against an
     argument-principle phase sum on a refining grid.  Symbols with a
-    zero or pole within ``circle_tol`` of the circle are rejected.
+    zero or pole within CIRCLE_TOL of the circle are rejected.
     """
     if s.is_zero:
         raise NotInvertibleOnCircleError("the zero symbol has no winding index")
-    idx = s.num.min_deg - s.den.min_deg
-    for poly in (s.num, s.den):
-        sign = 1 if poly is s.num else -1
-        for root, mult in poly_roots(poly):
-            if abs(abs(root) - 1.0) < circle_tol:
-                raise NotInvertibleOnCircleError(
-                    f"root {root:.8g} lies within {circle_tol:g} of the unit circle"
-                )
-            if abs(root) < 1.0:
-                idx += sign * mult
+    zeros_in, _ = split_by_circle(s.num)
+    poles_in, _ = split_by_circle(s.den)
+    idx = s.num.min_deg - s.den.min_deg + len(zeros_in) - len(poles_in)
 
     n = 256
     while True:
@@ -411,7 +452,7 @@ def winding_index(s: RationalSymbol, circle_tol: float = CIRCLE_TOL) -> int:
         if abs(turns - idx) <= PHASE_GUARD:
             return idx
         if n >= (1 << 17):
-            raise WhsymmError(
+            raise UndersampledError(
                 f"argument-principle check disagrees with root count "
                 f"({turns:.3f} turns vs {idx}) at N={n}"
             )
@@ -503,13 +544,7 @@ def separate_poles(s: RationalSymbol):
         )
         return RationalSymbol(neg), RationalSymbol(pos)
 
-    inside, outside = [], []
-    for root, mult in poly_roots(s.den):
-        if abs(abs(root) - 1.0) < CIRCLE_TOL:
-            raise NotInvertibleOnCircleError(
-                f"pole {root:.8g} lies within {CIRCLE_TOL:g} of the unit circle"
-            )
-        (inside if abs(root) < 1.0 else outside).extend([root] * mult)
+    inside, outside = split_by_circle(s.den)
 
     # fold the power of t into whichever side it belongs to: a zero at 0
     # pads the numerator, a pole at 0 pads the inner denominator factor
@@ -599,7 +634,7 @@ def _chop_support(
     junk = np.concatenate([c[:lo_cut], c[hi_cut:]])
     guard = 1e-6 * max(ref, float(np.max(np.abs(kept))) if kept.size else 0.0)
     if junk.size and float(np.max(np.abs(junk))) > guard:
-        raise WhsymmError(
+        raise NotInvertibleOnCircleError(
             "frequency-support bound violated while splitting a symbol"
         )
     if not kept.size or not np.any(kept):

@@ -15,14 +15,14 @@ import numpy as np
 from .errors import NotInvertibleOnCircleError, UndersampledError, WhsymmError
 from .ratmat import GridEvaluator, RationalMatrix
 from .symbols import (
-    CIRCLE_TOL,
     PHASE_GUARD,
     CircleGrid,
     RationalSymbol,
-    poly_roots,
+    inside_excess,
+    outside_excess,
 )
 
-# default tolerances, overridable per call
+# default tolerances, overridable per call; every module takes them from here
 RECON_TOL = 1e-10
 UNITARY_TOL = 1e-12
 
@@ -72,6 +72,14 @@ class VerificationReport:
         return self.passed
 
 
+def reconstruction_check(chunks, tol: float) -> Check:
+    """Worst pointwise residual of reconstructed samples against the
+    target's samples on the same grid, given as (recon, target) pairs of
+    sample chunks; a NaN anywhere makes the residual NaN."""
+    worst = np.max([np.max(np.abs(recon - target)) for recon, target in chunks])
+    return Check("reconstruction", float(worst), tol)
+
+
 def unitarity_check(m: np.ndarray, tol: float = UNITARY_TOL, name: str = "unitarity") -> VerificationReport:
     """Residual of m m* = I."""
     m = np.asarray(m, dtype=complex)
@@ -87,7 +95,7 @@ _WINDING_FLOOR = 1 << 14
 _WINDING_CAP = 1 << 17
 _STEP_GUARD = 1.0
 _MAG_GUARD = 0.5
-# Working memory for one chunk of determinant samples, every temporary
+# Working memory for one chunk of grid samples, every temporary
 # of the evaluation counted (GridEvaluator.bytes_per_point).  At order 32
 # a chunk is a few dozen points and stays in cache; a 5x5 matrix still
 # gets over a thousand points per chunk, so per-chunk overhead is noise.
@@ -162,20 +170,11 @@ def det_index_oracle(m: RationalMatrix, grid: CircleGrid | int = 512) -> int:
     return idx
 
 
-def _root_set(sym: RationalSymbol, which: str):
-    poly = sym.num if which == "num" else sym.den
-    if poly.is_zero:
-        return []
-    return [r for r, mult in poly_roots(poly) for _ in range(mult)]
-
-
 def _minus_entry_violation(sym: RationalSymbol) -> float:
     """How badly an entry fails to be pole-free on {|t| >= 1} + infinity."""
     if sym.is_zero:
         return 0.0
-    v = 0.0
-    for r in _root_set(sym, "den"):
-        v = max(v, abs(r) - 1.0 + CIRCLE_TOL if abs(r) >= 1.0 - CIRCLE_TOL else 0.0)
+    v = outside_excess(sym.den)
     excess = sym.num.max_deg - sym.den.max_deg
     if excess > 0:
         v = max(v, float(excess))
@@ -186,9 +185,7 @@ def _plus_entry_violation(sym: RationalSymbol) -> float:
     """How badly an entry fails to be pole-free on {|t| <= 1}."""
     if sym.is_zero:
         return 0.0
-    v = 0.0
-    for r in _root_set(sym, "den"):
-        v = max(v, 1.0 + CIRCLE_TOL - abs(r) if abs(r) <= 1.0 + CIRCLE_TOL else 0.0)
+    v = inside_excess(sym.den)
     if sym.num.min_deg < 0:
         v = max(v, float(-sym.num.min_deg))
     return v
@@ -203,16 +200,21 @@ def _factor_invertibility(m: RationalMatrix, grid_n: int, name: str) -> Check:
     and its winding around 0 is zero.  Forming the determinant from
     grid samples sidesteps the symbolic blow-up of cofactor expansion.
     """
-    try:
+    def measure():
         idx, bottom, top = _det_winding(m, grid_n)
+        return float(abs(idx)), f"|det| within [{_exp_3g(bottom)}, {_exp_3g(top)}] on the circle"
+
+    return _guarded(name, measure)
+
+
+def _guarded(name: str, measure) -> Check:
+    """The check (residual, detail) = measure() at tolerance 0; a
+    WhsymmError that measure raises fails it, with the error as detail."""
+    try:
+        residual, detail = measure()
     except WhsymmError as exc:
         return Check(name, float("inf"), 0.0, str(exc))
-    return Check(
-        name,
-        float(abs(idx)),
-        0.0,
-        f"|det| within [{_exp_3g(bottom)}, {_exp_3g(top)}] on the circle",
-    )
+    return Check(name, residual, 0.0, detail)
 
 
 def _exp_3g(log_abs: float) -> str:
@@ -238,6 +240,18 @@ def _reconstruct(mvals: np.ndarray, d, pvals: np.ndarray, pts: np.ndarray) -> np
     return (mvals * pts[:, None, None] ** np.asarray(d)) @ pvals
 
 
+def _reconstruction_chunks(target: RationalMatrix, minus, d, plus, pts: np.ndarray):
+    """(reconstruction, target) samples over pts in chunks of at most
+    _CHUNK_BYTES working memory, as in _det_winding, so that no (N, n, n)
+    array is held whole; each sample is the one the whole grid gives."""
+    evs = [GridEvaluator(m) for m in (target, minus, plus)]
+    # the evaluations, then the scaled minus, the product, the difference and its modulus
+    step = max(1, _CHUNK_BYTES // (sum(ev.bytes_per_point for ev in evs) + 64 * len(d) ** 2))
+    for p in (pts[a : a + step] for a in range(0, pts.size, step)):
+        tvals, mvals, pvals = (ev(p) for ev in evs)
+        yield _reconstruct(mvals, d, pvals, p), tvals
+
+
 def verify_matrix_factorization(
     target: RationalMatrix,
     fac,
@@ -251,32 +265,19 @@ def verify_matrix_factorization(
     invertibility of both determinants on their half of the sphere, and
     total-index accounting against the argument-principle oracle.
     """
-    checks: list[Check] = []
     grid = CircleGrid(grid_n)
     minus, d, plus = fac.minus, list(fac.d), fac.plus
 
-    tvals = target.eval_grid(grid)
-    recon = _reconstruct(minus.eval_grid(grid), d, plus.eval_grid(grid), grid.points)
-    checks.append(Check("reconstruction", float(np.max(np.abs(recon - tvals))), recon_tol))
+    def worst(m: RationalMatrix, violation):
+        return max(violation(e) for row in m.rows for e in row), ""
 
-    try:
-        v = max(_minus_entry_violation(e) for row in minus.rows for e in row)
-        checks.append(Check("minus_entries_analytic", v, 0.0))
-    except WhsymmError as exc:
-        checks.append(Check("minus_entries_analytic", float("inf"), 0.0, str(exc)))
-    try:
-        v = max(_plus_entry_violation(e) for row in plus.rows for e in row)
-        checks.append(Check("plus_entries_analytic", v, 0.0))
-    except WhsymmError as exc:
-        checks.append(Check("plus_entries_analytic", float("inf"), 0.0, str(exc)))
-
-    checks.append(_factor_invertibility(minus, grid_n, "det_minus_invertible"))
-    checks.append(_factor_invertibility(plus, grid_n, "det_plus_invertible"))
-
-    try:
-        total = det_index_oracle(target, grid_n)
-        checks.append(Check("index_sum", float(abs(sum(d) - total)), 0.0))
-    except WhsymmError as exc:
-        checks.append(Check("index_sum", float("inf"), 0.0, str(exc)))
-
-    return VerificationReport(tuple(checks), subject="matrix factorization")
+    chunks = _reconstruction_chunks(target, minus, d, plus, grid.points)
+    checks = (
+        reconstruction_check(chunks, recon_tol),
+        _guarded("minus_entries_analytic", lambda: worst(minus, _minus_entry_violation)),
+        _guarded("plus_entries_analytic", lambda: worst(plus, _plus_entry_violation)),
+        _factor_invertibility(minus, grid_n, "det_minus_invertible"),
+        _factor_invertibility(plus, grid_n, "det_plus_invertible"),
+        _guarded("index_sum", lambda: (float(abs(sum(d) - det_index_oracle(target, grid_n))), "")),
+    )
+    return VerificationReport(checks, subject="matrix factorization")

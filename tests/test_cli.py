@@ -106,6 +106,23 @@ class TestReduce:
         assert len(res["blocks"][2]) == 2 and len(res["blocks"][2][0]) == 2
 
 
+    def test_control_character_label_stays_valid_json(self):
+        labels = ["e", "g\n"]
+        reps = [
+            {"degree": 1, "matrices": {"e": [[1]], "g\n": [[1]]}},
+            {"degree": 1, "matrices": {"e": [[1]], "g\n": [[-1]]}},
+        ]
+        code, out, _ = run(
+            ["reduce",
+             "--group", json.dumps({"kind": "custom", "cayley": [[0, 1], [1, 0]], "labels": labels}),
+             "--symbol", json.dumps({"e": {"num": {"coeffs": [[2, 0]]}},
+                                     "g\n": {"num": {"min_deg": 1, "coeffs": [[0.5, 0]]}}}),
+             "--reps", json.dumps(reps)]
+        )
+        assert code == 0
+        assert parse_stdout(out)["group"]["labels"] == labels
+
+
 class TestIndices:
     def test_indices_document(self):
         doc = s3_symbol_doc()
@@ -310,6 +327,35 @@ class TestRoundtrip:
         a = run(["roundtrip", "--group", "s3", "--seed", "7"])
         b = run(["roundtrip", "--group", "s3", "--seed", "7"])
         assert a == b
+
+
+class TestExitCodes:
+    # the table in the whsymm.cli docstring
+    DOCUMENTED = {
+        "WhsymmError": 1,
+        "DocumentError": 2,
+        "GroupConstructionError": 2,
+        "RepValidationError": 2,
+        "IllPosedSymbolError": 3,
+        "NotInvertibleOnCircleError": 3,
+        "PoleOnGridError": 3,
+        "UndersampledError": 3,
+        "SymbolDivisionError": 3,
+        "DegreeCapError": 3,
+        "UnsupportedGroupError": 4,
+        "PartialFactorizationError": 5,
+    }
+
+    def test_every_error_class_carries_its_documented_code(self):
+        from whsymm import errors
+
+        classes = {
+            name: cls for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, errors.WhsymmError)
+        }
+        assert set(classes) == set(self.DOCUMENTED)
+        for name, code in self.DOCUMENTED.items():
+            assert classes[name].exit_code == code, name
 
 
 class TestJobsAndRouting:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from whsymm import (
+    Check,
     DocumentError,
     GroupSymbol,
     LaurentPoly,
@@ -22,6 +23,7 @@ from whsymm import (
     irreps_for,
     partial_indices,
     block_diagonalize,
+    VerificationReport,
     validate_repset,
     verify_matrix_factorization,
 )
@@ -68,6 +70,19 @@ class TestDumps:
     def test_nonfinite_clamped(self):
         assert json.loads(dumps(float("inf"))) == 1e308
         assert json.loads(dumps(float("-inf"))) == -1e308
+
+    def test_control_characters_escaped(self):
+        doc = {"g\n": ["tab\there", "bell\x07", "\x00\x1f", "caf\u00e9 \"q\" \\"]}
+        assert json.loads(dumps(doc)) == doc
+        # strings without control characters keep their former bytes
+        assert dumps("caf\u00e9 \"q\" \\") == '"caf\u00e9 \\"q\\" \\\\"'
+
+    def test_nan_residual_reads_as_failure(self):
+        report = VerificationReport((Check("reconstruction", float("nan"), 1e-10),))
+        doc = json.loads(dumps(serialize_report(report)))
+        check = doc["checks"][0]
+        assert check["residual"] == 1e308
+        assert check["verdict"] == "fail" and doc["overall"] == "fail"
 
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):

@@ -21,6 +21,7 @@ from whsymm import (
     PoleOnGridError,
     RationalSymbol,
     SymbolDivisionError,
+    UndersampledError,
     annulus_coeffs,
     eval_on_grid,
     poly_roots,
@@ -29,7 +30,16 @@ from whsymm import (
     rational_arith,
     winding_index,
 )
-from whsymm.symbols import coeffs_at_infinity, separate_poles, taylor_coeffs
+from whsymm import symbols
+from whsymm.symbols import (
+    _chop_support,
+    coeffs_at_infinity,
+    inside_excess,
+    outside_excess,
+    separate_poles,
+    split_by_circle,
+    taylor_coeffs,
+)
 
 from conftest import random_symbol
 
@@ -130,6 +140,21 @@ class TestLaurentPoly:
 # ----------------------------------------------------------------------
 # RationalSymbol
 # ----------------------------------------------------------------------
+
+
+    def test_signed_zeros_hash_equal(self):
+        one = LaurentPoly.const(1.0)
+        for a, b in (
+            ([complex(1, -0.0), 2], [complex(1, 0.0), 2]),
+            ([1, complex(-0.0, 0.0), 2], [1, 0, 2]),
+        ):
+            p, q = LaurentPoly(0, a), LaurentPoly(0, b)
+            assert p == q and hash(p) == hash(q) and q in {p}
+            for x, y in (
+                (RationalSymbol(p), RationalSymbol(q)),
+                (RationalSymbol(one, p), RationalSymbol(one, q)),
+            ):
+                assert x == y and hash(x) == hash(y) and y in {x}
 
 
 class TestRationalSymbol:
@@ -336,6 +361,40 @@ class TestWindingIndex:
         with pytest.raises(NotInvertibleOnCircleError):
             winding_index(RationalSymbol.zero())
 
+    def test_phase_sum_disagreement_is_undersampling(self, monkeypatch):
+        # samples that wind five times around a symbol whose roots say one
+        monkeypatch.setattr(symbols, "eval_on_grid", lambda s, grid: grid.points**5)
+        with pytest.raises(UndersampledError, match="disagrees"):
+            winding_index(RationalSymbol.monomial(1))
+
+
+class TestRootSplit:
+    def test_split_keeps_multiplicity_and_root_order(self):
+        p = LaurentPoly.from_roots([2.0, 0.5j, 0.5j, -3.0, 0.25], 2.0).shift(-2)
+        inside, outside = split_by_circle(p)
+        order = [r for r, m in poly_roots(p) for _ in range(m)]
+        assert inside == [r for r in order if abs(r) < 1]
+        assert outside == [r for r in order if abs(r) > 1]
+        assert len(inside) == 3 and len(outside) == 2
+
+    def test_split_rejects_a_root_near_the_circle(self):
+        with pytest.raises(NotInvertibleOnCircleError, match="root"):
+            split_by_circle(LaurentPoly.from_roots([0.5, 1.0 + 1e-9]))
+
+    def test_roots_are_found_once_per_polynomial(self, monkeypatch):
+        calls = []
+        real = symbols.poly_roots
+        monkeypatch.setattr(symbols, "poly_roots", lambda p: calls.append(p) or real(p))
+        den = LaurentPoly.from_roots([0.5, 2.0])
+        entries = [RationalSymbol(LaurentPoly.const(c), den) for c in (1.0, 2.0, 3.0)]
+        for e in entries:
+            winding_index(e)
+            separate_poles(e)
+            assert outside_excess(e.den) == pytest.approx(1.0, abs=1e-7)
+            assert inside_excess(e.den) == pytest.approx(0.5, abs=1e-7)
+        # one call for the shared denominator, one per constant numerator
+        assert calls.count(den) == 1 and len(calls) == 4
+
 
 # ----------------------------------------------------------------------
 # Series expansions
@@ -479,6 +538,12 @@ class TestSplitting:
                 assert project_low(low, k).allclose(low, tol=1e-9)
                 high = project_high(s, k)
                 assert project_high(high, k).allclose(high, tol=1e-9)
+
+    def test_violated_support_bound_is_ill_posed(self):
+        # a t^0 coefficient of 1 cannot be roundoff for content >= 1
+        s = RationalSymbol(LaurentPoly(0, [1.0, 1.0]))
+        with pytest.raises(NotInvertibleOnCircleError, match="support"):
+            _chop_support(s, 1, None, 1.0)
 
     def test_projection_beyond_support_is_identity(self):
         p = RationalSymbol.from_poly(LaurentPoly(-1, [1.0, 2.0, 3.0]))

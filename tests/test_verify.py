@@ -83,6 +83,17 @@ class TestCheckMechanics:
         assert not unitarity_check(1.01 * HADAMARD).passed
         assert unitarity_check(np.eye(3), name="f").checks[0].name == "f"
 
+    def test_reconstruction_residual_over_chunks(self):
+        ok = (np.ones(3), np.ones(3) + 1e-12)
+        bad = (np.ones(3), np.array([1.0, 2.0, 1.0]))
+        nan = (np.ones(3), np.array([1.0, np.nan, 1.0]))
+        check = verify.reconstruction_check([ok, bad, ok], 1e-10)
+        assert check.name == "reconstruction" and check.residual == 1.0
+        # a NaN in any chunk, first or last, makes the residual NaN
+        for chunks in ([nan, bad], [bad, nan]):
+            check = verify.reconstruction_check(chunks, 1e-10)
+            assert np.isnan(check.residual) and not check.passed
+
 
 class TestDetIndexOracle:
     def test_planted_windings(self):
@@ -179,6 +190,19 @@ def good_case():
     corner = RationalSymbol.from_poly(LaurentPoly(-1, [1.0, 0.5, 0.25]))
     target = RationalMatrix([[lam1, corner], [z, lam2]])
     return target, factor_triangular_2x2(target)
+
+
+def order16_case():
+    """A cyclic(16) target and its factorization.  The identity
+    coefficient dominates, so every block stays well-posed."""
+    rng = np.random.default_rng(7016)
+    lead = RationalSymbol(LaurentPoly.from_roots([0.5, 3.0], 4.0), LaurentPoly.from_roots([0.2]))
+    small = [
+        RationalSymbol.from_poly(LaurentPoly(-1, 0.05 * rng.normal(size=3)))
+        for _ in range(15)
+    ]
+    gs = GroupSymbol(build_group({"kind": "cyclic", "n": 16}), [lead] + small)
+    return assemble_matrix(gs), factor_group_symbol(gs)
 
 
 class TestVerifyMatrixFactorization:
@@ -301,17 +325,8 @@ class TestVerifyMatrixFactorization:
 
     def test_memory_is_bounded_at_order_16(self):
         # A cyclic(16) factorization; its dense determinant samples on the
-        # 2^14-point floor alone would take 67 MB.  The identity
-        # coefficient dominates, so every block stays well-posed.
-        rng = np.random.default_rng(7016)
-        lead = RationalSymbol(LaurentPoly.from_roots([0.5, 3.0], 4.0), LaurentPoly.from_roots([0.2]))
-        small = [
-            RationalSymbol.from_poly(LaurentPoly(-1, 0.05 * rng.normal(size=3)))
-            for _ in range(15)
-        ]
-        gs = GroupSymbol(build_group({"kind": "cyclic", "n": 16}), [lead] + small)
-        fac = factor_group_symbol(gs)
-        target = assemble_matrix(gs)
+        # 2^14-point floor alone would take 67 MB.
+        target, fac = order16_case()
         tracemalloc.start()
         try:
             report = verify_matrix_factorization(target, fac)
@@ -320,6 +335,33 @@ class TestVerifyMatrixFactorization:
             tracemalloc.stop()
         assert report.passed, report.to_text()
         assert peak < 25e6
+
+    def test_reconstruction_holds_no_whole_grid_array(self):
+        # one (512, 16, 16) complex sample array takes 2.1 MB; the
+        # reconstruction on the whole grid holds five of them at once
+        target, fac = order16_case()
+        tracemalloc.start()
+        try:
+            verify_matrix_factorization(target, fac)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_reconstruction_chunks_are_invisible(self, monkeypatch):
+        target, fac = good_case()
+        doubled = MatrixFactorization(fac.minus, fac.d, fac.plus.const_mul_right(2.0 * np.eye(2)))
+        cases = [(target, fac), (target, doubled), order16_case()]
+        want = [verify_matrix_factorization(t, f) for t, f in cases]
+        grid = CircleGrid(512)
+        for (t, f), report in zip(cases, want):
+            # the residual is exactly that of the whole-grid samples
+            whole = verify._reconstruct(f.minus.eval_grid(grid), f.d, f.plus.eval_grid(grid), grid.points)
+            assert report.checks[0].residual == float(np.max(np.abs(whole - t.eval_grid(grid))))
+        assert not want[1].checks[0].passed
+        # a few points per chunk, and chunks that do not divide the grid
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 3000)
+        assert [verify_matrix_factorization(t, f) for t, f in cases] == want
 
     def test_singular_target_reported_honestly(self):
         # target determinant vanishes on the circle: index_sum cannot be
