@@ -33,6 +33,7 @@ from .symbols import (
     annulus_coeffs,
     project_high,
     project_low,
+    separate_poles,
     winding_index,
 )
 
@@ -462,20 +463,21 @@ def factor_triangular_2x2(block: RationalMatrix) -> MatrixFactorization:
         return MatrixFactorization(minus, (r1, r2), plus)
 
     c = b / (f1.minus * f2.plus)
+    split = separate_poles(c)
 
     if r1 <= r2:
-        v = project_low(c, r1 - 1).shift(-r2)
-        u = project_high(c, r1).shift(-r1)
+        v = project_low(c, r1 - 1, split).shift(-r2)
+        u = project_high(c, r1, split).shift(-r1)
         minus = RationalMatrix([[f1.minus, f1.minus * v], [zero, f2.minus]])
         plus = RationalMatrix([[f1.plus, u * f2.plus], [zero, f2.plus]])
         return MatrixFactorization(minus, (r1, r2), plus)
 
     # decreasing diagonal indices: split off the gap frequencies
-    gap = annulus_coeffs(c, r2 + 1, r1 - 1)
+    gap = annulus_coeffs(c, r2 + 1, r1 - 1, split)
     scale = max(1.0, float(np.max(np.abs(c.num.coeffs))))
     gap[np.abs(gap) <= SNAP_TOL * scale] = 0.0
-    v = project_low(c, r2).shift(-r2)
-    u = project_high(c, r1).shift(-r1)
+    v = project_low(c, r2, split).shift(-r2)
+    u = project_high(c, r1, split).shift(-r1)
 
     qm, (k1, k2), qp = _gap_corner_factor(r1 - r2, gap)
     lam_minus = RationalMatrix([[f1.minus, f1.minus * v], [zero, f2.minus]])

@@ -33,7 +33,7 @@ from .blocks import (
 from .center import assemble_center_matrix, center_factorize
 from .errors import DocumentError, PartialFactorizationError, RepValidationError, WhsymmError
 from .groups import CATALOG, build_group, commutator_subgroup, conjugacy_classes
-from .ratmat import RationalMatrix
+from .ratmat import GridEvaluator, RationalMatrix
 from .reps import character_table, fourier_matrix, irreps_for, validate_repset
 from .scalar import factor_grid, factor_rational, verify_scalar
 from .symbols import CircleGrid, LaurentPoly, RationalSymbol, eval_on_grid
@@ -42,6 +42,7 @@ from .verify import (
     UNITARY_TOL,
     Check,
     VerificationReport,
+    point_chunks,
     reconstruction_check,
     unitarity_check,
     verify_matrix_factorization,
@@ -211,18 +212,26 @@ def _repset_for(job: dict, group):
 # ---------------------------------------------------------------------
 
 
+def _reduction_chunks(gs: GroupSymbol, bd, f: np.ndarray, pts: np.ndarray):
+    """(F* L F, A) samples over pts, for the assembled matrix A and the
+    expanded block-diagonal L, in chunks as the verifier streams them."""
+    ta, tl = GridEvaluator(assemble_matrix(gs)), GridEvaluator(bd.expand())
+    fh = f.conj().T
+    # both evaluations, then the two products, the difference and its modulus
+    for p in point_chunks(pts, ta.bytes_per_point + tl.bytes_per_point + 64 * f.size):
+        avals = ta(p)
+        yield fh @ tl(p) @ f, avals
+
+
 def _run_reduce(job: dict):
     gs = _group_symbol(job)
     repset = _repset_for(job, gs.group)
     bd = block_diagonalize(gs, repset)
     fm = fourier_matrix(repset)
 
-    grid = CircleGrid(job["grid"])
-    avals = assemble_matrix(gs).eval_grid(grid)
-    lvals = bd.expand().eval_grid(grid)
-    recon = fm.matrix.conj().T @ lvals @ fm.matrix
+    chunks = _reduction_chunks(gs, bd, fm.matrix, CircleGrid(job["grid"]).points)
     checks = (
-        reconstruction_check([(recon, avals)], job["tol_recon"]),
+        reconstruction_check(chunks, job["tol_recon"]),
     ) + unitarity_check(fm.matrix, job["tol_unitary"], "fourier_unitary").checks
     report = VerificationReport(checks, subject="block reduction")
 

@@ -179,21 +179,24 @@ def _scaled_sum(line, coeffs) -> RationalSymbol:
 class GridEvaluator:
     """Pointwise evaluation plan for one RationalMatrix.
 
-    The plan evaluates each distinct entry object once and each distinct
+    The plan evaluates each distinct source entry once and each distinct
     denominator once, by Horner's rule over all of them together, then
-    gathers the values into a contiguous (N, rows, cols) buffer.  Entry
-    for entry the arithmetic is that of ``eval_on_grid``.  Built once per
-    matrix, it can then be applied to any number of point arrays.
+    gathers the values into a contiguous (N, rows, cols) buffer.  An
+    entry made by ``RationalSymbol.scale`` is its source's values times
+    its factor (the stitched factors of an abelian group have n sources
+    for n^2 entries); every other entry is its own source, evaluated with
+    the arithmetic of ``eval_on_grid``.  Built once per matrix, it can
+    then be applied to any number of point arrays.
     """
 
-    __slots__ = ("shape", "where", "horner", "runs", "den_floor")
+    __slots__ = ("shape", "where", "factor", "horner", "runs", "den_floor")
 
     def __init__(self, m: RationalMatrix) -> None:
+        based = [None if e.is_zero else e._base or (e, 1.0) for row in m.rows for e in row]
         distinct: dict[int, RationalSymbol] = {}
-        for row in m.rows:
-            for e in row:
-                if not e.is_zero:
-                    distinct.setdefault(id(e), e)
+        for b in based:
+            if b is not None:
+                distinct.setdefault(id(b[0]), b[0])
         dens: dict[bytes, np.ndarray] = {}
         for e in distinct.values():
             dens.setdefault(e.den.coeffs.tobytes(), e.den.coeffs)
@@ -202,15 +205,18 @@ class GridEvaluator:
         def group(e: RationalSymbol) -> tuple[int, int]:
             return den_slot[e.den.coeffs.tobytes()], e.num.min_deg
 
-        # Columns: the distinct entries grouped by denominator and power
+        # Columns: the distinct sources grouped by denominator and power
         # of t, then one zero column, then the distinct denominators.
         entries = sorted(distinct.values(), key=group)
         zero = len(entries)
         slot = {id(e): u for u, e in enumerate(entries)}
         self.shape = m.shape
         self.where = np.array(
-            [slot.get(id(e), zero) for row in m.rows for e in row], dtype=np.intp
+            [zero if b is None else slot[id(b[0])] for b in based], dtype=np.intp
         )
+        factor = np.array([1.0 if b is None else b[1] for b in based], dtype=complex)
+        # with every factor 1 the gather alone is the result, bit for bit
+        self.factor = None if np.all(factor == 1.0) else factor
         self.runs: list[tuple[int, int, int, int]] = []  # (power, den column, lo, hi)
         lo = 0
         for (d, k), run in itertools.groupby(entries, key=group):
@@ -231,7 +237,8 @@ class GridEvaluator:
     @property
     def bytes_per_point(self) -> int:
         """Bytes held per evaluation point while a call runs: the Horner
-        table, the pole test and the output buffer."""
+        table over the plan's columns, the pole test and the output
+        buffer, which the factors scale in place."""
         return 16 * (self.where.size + self.horner.shape[1] + self.den_floor.size + 2)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -251,7 +258,10 @@ class GridEvaluator:
             if k != 0:
                 acc[lo:hi] *= pts**k
             acc[lo:hi] /= acc[d]
-        return acc.T[:, self.where].reshape(pts.size, *self.shape)
+        out = acc.T[:, self.where]
+        if self.factor is not None:
+            out *= self.factor
+        return out.reshape(pts.size, *self.shape)
 
 
 def diag_power_eval(d: list[int], pts: np.ndarray) -> np.ndarray:

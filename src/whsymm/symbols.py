@@ -171,15 +171,21 @@ class RationalSymbol:
     The denominator is an ordinary polynomial with nonzero constant term
     and leading coefficient exactly 1; any power of t and any overall
     scale is folded into the numerator.  The zero symbol is 0/1.
+
+    A symbol made by ``scale`` remembers its source: ``_base`` is
+    (source, factor) with the symbol equal to factor * source, so a grid
+    evaluation can evaluate the source once for all its scaled copies.
+    It is None for every other symbol.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_base")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None) -> None:
         if den is None:
             den = _ONE
         if den.is_zero:
             raise SymbolDivisionError("denominator is identically zero")
+        self._base = None
         if num.is_zero:
             self.num = LaurentPoly.zero()
             self.den = _ONE
@@ -263,7 +269,12 @@ class RationalSymbol:
     def scale(self, c) -> "RationalSymbol":
         if c == 0 or self.is_zero:
             return RationalSymbol.zero()
-        return RationalSymbol(self.num.scale(c), self.den)
+        out = RationalSymbol(self.num.scale(c), self.den)
+        if not out.is_zero:
+            # a scaled copy of a scaled copy folds into one factor
+            source, factor = self._base or (self, 1.0)
+            out._base = (source, factor * complex(c))
+        return out
 
     def shift(self, k: int) -> "RationalSymbol":
         """Multiply by t**k."""
@@ -307,6 +318,11 @@ def rational_arith(op: str, x: RationalSymbol, y: RationalSymbol) -> RationalSym
     raise ValueError(f"unknown operation {op!r}")
 
 
+# CircleGrid points per size, computed once and read-only, so every grid
+# of one size shares them
+_GRID_POINTS: dict[int, np.ndarray] = {}
+
+
 class CircleGrid:
     """The N-th roots of unity, N a power of two >= 8."""
 
@@ -316,7 +332,12 @@ class CircleGrid:
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 8, got {n}")
         self.n = n
-        self.points = np.exp(2j * np.pi * np.arange(n) / n)
+        pts = _GRID_POINTS.get(n)
+        if pts is None:
+            pts = np.exp(2j * np.pi * np.arange(n) / n)
+            pts.flags.writeable = False
+            _GRID_POINTS[n] = pts
+        self.points = pts
 
     def __repr__(self) -> str:
         return f"CircleGrid({self.n})"
@@ -593,12 +614,15 @@ def separate_poles(s: RationalSymbol):
     return minus, plus
 
 
-def annulus_coeffs(s: RationalSymbol, lo: int, hi: int) -> np.ndarray:
+def annulus_coeffs(
+    s: RationalSymbol, lo: int, hi: int, split: tuple[RationalSymbol, RationalSymbol] | None = None
+) -> np.ndarray:
     """Laurent coefficients of s on the unit circle for frequencies
-    lo..hi inclusive."""
+    lo..hi inclusive.  ``split`` is ``separate_poles(s)`` when the caller
+    already has it."""
     if hi < lo:
         return np.zeros(0, dtype=complex)
-    minus, plus = separate_poles(s)
+    minus, plus = split or separate_poles(s)
     out = np.zeros(hi - lo + 1, dtype=complex)
     if hi >= 0:
         tc = taylor_coeffs(plus, hi + 1)
@@ -642,12 +666,15 @@ def _chop_support(
     return RationalSymbol(LaurentPoly(base + lo_cut, kept), s.den)
 
 
-def project_low(s: RationalSymbol, k: int) -> RationalSymbol:
-    """The part of s with frequencies <= k, as a rational symbol."""
+def project_low(
+    s: RationalSymbol, k: int, split: tuple[RationalSymbol, RationalSymbol] | None = None
+) -> RationalSymbol:
+    """The part of s with frequencies <= k, as a rational symbol;
+    ``split`` as in annulus_coeffs."""
     if s.is_zero:
         return s
     ref = float(np.max(np.abs(s.num.coeffs)))
-    minus, plus = separate_poles(s)
+    minus, plus = split or separate_poles(s)
     if k >= 0:
         tc = taylor_coeffs(plus, k + 1)
         return minus + RationalSymbol(LaurentPoly(0, tc))
@@ -656,8 +683,11 @@ def project_low(s: RationalSymbol, k: int) -> RationalSymbol:
     return _chop_support(out, None, k, ref)
 
 
-def project_high(s: RationalSymbol, k: int) -> RationalSymbol:
-    """The part of s with frequencies >= k.
+def project_high(
+    s: RationalSymbol, k: int, split: tuple[RationalSymbol, RationalSymbol] | None = None
+) -> RationalSymbol:
+    """The part of s with frequencies >= k; ``split`` as in
+    annulus_coeffs.
 
     Built from the partial-fraction split rather than as s minus the low
     part, so the result's denominator carries only the poles that truly
@@ -666,7 +696,7 @@ def project_high(s: RationalSymbol, k: int) -> RationalSymbol:
     if s.is_zero:
         return s
     ref = float(np.max(np.abs(s.num.coeffs)))
-    minus, plus = separate_poles(s)
+    minus, plus = split or separate_poles(s)
     if k >= 1:
         tc = taylor_coeffs(plus, k)
         out = plus - RationalSymbol(LaurentPoly(0, tc))

@@ -102,6 +102,13 @@ _MAG_GUARD = 0.5
 _CHUNK_BYTES = 1 << 20
 
 
+def point_chunks(pts: np.ndarray, bytes_per_point: int):
+    """Consecutive slices of pts of at most _CHUNK_BYTES working memory
+    at bytes_per_point each, and at least one point each."""
+    step = max(1, _CHUNK_BYTES // bytes_per_point)
+    return (pts[a : a + step] for a in range(0, pts.size, step))
+
+
 def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
     """Winding of det m(t) around 0 from a dense circle sampling.
 
@@ -125,11 +132,10 @@ def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
     Returns (winding, min log|det|, max log|det|) over the accepted grid.
     """
     ev = GridEvaluator(m)
-    step = max(1, _CHUNK_BYTES // ev.bytes_per_point)
     n = max(n0, _WINDING_FLOOR)
     while True:
         pts = CircleGrid(n).points
-        chunks = [np.linalg.slogdet(ev(pts[a : a + step])) for a in range(0, n, step)]
+        chunks = [np.linalg.slogdet(ev(p)) for p in point_chunks(pts, ev.bytes_per_point)]
         sign = np.concatenate([c.sign for c in chunks])
         logabs = np.concatenate([c.logabsdet for c in chunks])
         top = float(np.max(logabs))
@@ -246,8 +252,7 @@ def _reconstruction_chunks(target: RationalMatrix, minus, d, plus, pts: np.ndarr
     array is held whole; each sample is the one the whole grid gives."""
     evs = [GridEvaluator(m) for m in (target, minus, plus)]
     # the evaluations, then the scaled minus, the product, the difference and its modulus
-    step = max(1, _CHUNK_BYTES // (sum(ev.bytes_per_point for ev in evs) + 64 * len(d) ** 2))
-    for p in (pts[a : a + step] for a in range(0, pts.size, step)):
+    for p in point_chunks(pts, sum(ev.bytes_per_point for ev in evs) + 64 * len(d) ** 2):
         tvals, mvals, pvals = (ev(p) for ev in evs)
         yield _reconstruct(mvals, d, pvals, p), tvals
 

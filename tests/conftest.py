@@ -17,6 +17,7 @@ from whsymm import (
     LaurentPoly,
     RationalSymbol,
     block_diagonalize,
+    build_group,
     conjugacy_classes,
     poly_roots,
 )
@@ -89,3 +90,15 @@ def draw_group_symbol(group, rng, attempts=50):
 def random_center_symbol(group, rng):
     k = conjugacy_classes(group).count
     return CenterSymbol(group, [random_symbol(rng, i < 2) for i in range(k)])
+
+
+def dominant_cyclic_symbol(n, seed):
+    """A cyclic(n) group symbol whose identity coefficient dominates, so
+    every block stays well-posed."""
+    rng = np.random.default_rng(seed)
+    lead = RationalSymbol(LaurentPoly.from_roots([0.5, 3.0], 4.0), LaurentPoly.from_roots([0.2]))
+    small = [
+        RationalSymbol.from_poly(LaurentPoly(-1, 0.05 * rng.normal(size=3)))
+        for _ in range(n - 1)
+    ]
+    return GroupSymbol(build_group({"kind": "cyclic", "n": n}), [lead] + small)

@@ -356,6 +356,29 @@ class TestTriangularFactorization:
         assert reconstruction_residual(block, fac) < 1e-10
         assert verify_matrix_factorization(block, fac).passed
 
+    def test_coupling_is_split_once(self, monkeypatch):
+        # indices (2, 0) need the gap frequency and both projections of
+        # the coupling, all from one partial-fraction split
+        from whsymm import blocks, symbols
+
+        calls = []
+        split = symbols.separate_poles
+
+        def counted(s):
+            calls.append(s)
+            return split(s)
+
+        monkeypatch.setattr(symbols, "separate_poles", counted)
+        monkeypatch.setattr(blocks, "separate_poles", counted)
+        z = RationalSymbol.zero()
+        lam2 = RationalSymbol(LaurentPoly.from_roots([0.2]), LaurentPoly.from_roots([0.4]))
+        corner = RationalSymbol(LaurentPoly(-1, [1.0, 0.5, 0.25]), LaurentPoly.from_roots([0.5]))
+        block = RationalMatrix([[RationalSymbol.monomial(2), corner], [z, lam2]])
+        fac = factor_triangular_2x2(block)
+        assert len(calls) == 1
+        assert sum(fac.d) == 2
+        assert verify_matrix_factorization(block, fac).passed
+
     def test_shape_and_corner_validation(self):
         z = RationalSymbol.zero()
         one = RationalSymbol.const(1.0)

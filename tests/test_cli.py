@@ -8,13 +8,16 @@ JSON result document, stderr the human-readable report.  Exit codes:
 
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+import whsymm
 from whsymm import build_group, factor_triangular_2x2
 from whsymm.cli import main
 from whsymm.documents import (
@@ -25,7 +28,7 @@ from whsymm.documents import (
     serialize_matrix,
 )
 
-from conftest import draw_group_symbol, random_center_symbol
+from conftest import dominant_cyclic_symbol, draw_group_symbol, random_center_symbol
 
 
 def run(argv):
@@ -105,6 +108,25 @@ class TestReduce:
         assert res["degrees"] == [1, 1, 2]
         assert len(res["blocks"][2]) == 2 and len(res["blocks"][2][0]) == 2
 
+
+    def test_reduce_streams_the_grid(self, monkeypatch):
+        # cyclic(32): one (512, 32, 32) complex sample array takes 8.4 MB,
+        # and the whole-grid reduction held four of them
+        from whsymm import verify
+
+        doc = serialize_group_symbol(dominant_cyclic_symbol(32, 9090_32))
+        argv = ["reduce", "--group", dumps(doc["group"]), "--symbol", dumps(doc["symbol"])]
+        tracemalloc.start()
+        try:
+            want = run(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert want[0] == 0
+        assert peak < 8e6
+        # a few points per chunk, and chunks that do not divide the grid
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 300_000)
+        assert run(argv) == want
 
     def test_control_character_label_stays_valid_json(self):
         labels = ["e", "g\n"]
@@ -405,11 +427,15 @@ class TestJobsAndRouting:
         assert code == 2
 
     def test_module_entry_point(self):
+        # the child imports the same package as this process, also when
+        # only pytest's own pythonpath setting found it
+        src = os.path.dirname(os.path.dirname(whsymm.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "whsymm", "catalog"],
             capture_output=True,
             text=True,
             timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["groups"][0]["name"] == "cyclic(2)"

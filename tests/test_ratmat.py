@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from whsymm import CircleGrid, LaurentPoly, PoleOnGridError, RationalMatrix, RationalSymbol
-from whsymm.ratmat import Zero, diag_power_eval
+from whsymm.ratmat import GridEvaluator, Zero, diag_power_eval
 from whsymm.symbols import eval_on_grid
 
 from conftest import random_symbol
@@ -169,6 +169,31 @@ class TestEvaluation:
             for pts in (CircleGrid(64).points, np.array([0.3, 2.0]), np.array([0.5j, -1.7])):
                 want = np.array([[eval_on_grid(e, pts) for e in row] for row in mat.rows])
                 assert np.array_equal(mat.eval_grid(pts), np.moveaxis(want, 2, 0))
+
+    def test_scaled_entries_evaluate_from_their_source(self):
+        # factor times the source's values, against each entry's own
+        # coefficients through eval_on_grid
+        rng = np.random.default_rng(5050_12)
+        m = RationalMatrix.block_diag(
+            [random_matrix(rng, 2, 2), random_matrix(rng, 1, 1), random_matrix(rng, 2, 2)]
+        )
+        c = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        a, b = m[0, 0], m[2, 2]
+        chained = RationalMatrix.diag(
+            [a.scale(2.0 + 1.0j).scale(-0.3j), b.scale(1e-3), a.scale(3.0), b, Zero]
+        )
+        for mat in (m.const_mul_left(c), m.const_mul_right(c), chained):
+            ev = GridEvaluator(mat)
+            assert ev.factor is not None
+            for pts in (CircleGrid(64).points, np.array([0.3, 2.0, 0.5j, -1.7])):
+                want = np.array([[eval_on_grid(e, pts) for e in row] for row in mat.rows])
+                want = np.moveaxis(want, 2, 0)
+                got = ev(pts)
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # the two sources a and b of the chained matrix, the zero column
+        # and the denominators
+        dens = {e.den.coeffs.tobytes() for e in (a, b)}
+        assert GridEvaluator(chained).horner.shape[1] == 2 + 1 + len(dens)
 
     def test_eval_grid_pole_on_grid(self):
         pole = RationalSymbol(LaurentPoly.const(1.0), LaurentPoly.from_roots([-1.0]))

@@ -195,6 +195,17 @@ class TestRationalSymbol:
             assert np.allclose(x.shift(-2)(pts), fx * pts**-2, atol=1e-8)
             assert np.allclose(x.scale(1j)(pts), 1j * fx)
 
+    def test_scale_remembers_its_source(self):
+        x = RationalSymbol(LaurentPoly(-1, [1.0, 2.0j]), LaurentPoly.from_roots([0.5]))
+        assert x._base is None
+        y = x.scale(2.0)
+        assert y._base[0] is x and y._base[1] == 2.0
+        # a chained scale folds into one factor on the first source
+        z = y.scale(-1j)
+        assert z._base[0] is x and z._base[1] == -2.0j
+        assert z == RationalSymbol(LaurentPoly(-1, [-2.0j, 4.0]), x.den)
+        assert x.scale(0.0)._base is None and (x + y)._base is None
+
     def test_rational_arith_dispatch(self):
         x = RationalSymbol.monomial(1)
         y = RationalSymbol.const(2.0)
@@ -237,6 +248,15 @@ class TestGrid:
         g = CircleGrid(8)
         assert g.n == 8
         assert np.allclose(g.points**8, 1.0)
+
+    def test_points_are_computed_once_per_size(self):
+        for n in (8, 512, 1 << 14):
+            g = CircleGrid(n)
+            assert np.array_equal(g.points, np.exp(2j * np.pi * np.arange(n) / n))
+            assert not g.points.flags.writeable
+            assert CircleGrid(n).points is g.points
+        with pytest.raises(ValueError):
+            CircleGrid(8).points[0] = 0.0
 
     def test_eval_matches_direct_call(self):
         rng = np.random.default_rng(2024_05)

@@ -17,7 +17,6 @@ import pytest
 from whsymm import (
     Check,
     CircleGrid,
-    GroupSymbol,
     LaurentPoly,
     NotInvertibleOnCircleError,
     PoleOnGridError,
@@ -26,7 +25,6 @@ from whsymm import (
     UndersampledError,
     VerificationReport,
     assemble_matrix,
-    build_group,
     det_index_oracle,
     factor_group_symbol,
     factor_triangular_2x2,
@@ -35,6 +33,9 @@ from whsymm import (
 )
 from whsymm import verify
 from whsymm.blocks import MatrixFactorization
+from whsymm.documents import parse_factorization, serialize_factorization
+
+from conftest import dominant_cyclic_symbol
 from whsymm.ratmat import GridEvaluator, diag_power_eval
 
 DECLINE = (UndersampledError, NotInvertibleOnCircleError)
@@ -192,17 +193,14 @@ def good_case():
     return target, factor_triangular_2x2(target)
 
 
-def order16_case():
-    """A cyclic(16) target and its factorization.  The identity
-    coefficient dominates, so every block stays well-posed."""
-    rng = np.random.default_rng(7016)
-    lead = RationalSymbol(LaurentPoly.from_roots([0.5, 3.0], 4.0), LaurentPoly.from_roots([0.2]))
-    small = [
-        RationalSymbol.from_poly(LaurentPoly(-1, 0.05 * rng.normal(size=3)))
-        for _ in range(15)
-    ]
-    gs = GroupSymbol(build_group({"kind": "cyclic", "n": 16}), [lead] + small)
+def cyclic_case(n, seed):
+    """A cyclic(n) target and its factorization, every block well-posed."""
+    gs = dominant_cyclic_symbol(n, seed)
     return assemble_matrix(gs), factor_group_symbol(gs)
+
+
+def order16_case():
+    return cyclic_case(16, 7016)
 
 
 class TestVerifyMatrixFactorization:
@@ -362,6 +360,30 @@ class TestVerifyMatrixFactorization:
         # a few points per chunk, and chunks that do not divide the grid
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 3000)
         assert [verify_matrix_factorization(t, f) for t, f in cases] == want
+
+    def test_stitched_factor_plan_has_one_column_per_block(self):
+        # F* diag(lambda_minus) has n^2 entries, each a scaled copy of one
+        # of the n block factors: n sources, one zero column and the
+        # distinct denominators
+        _, fac = cyclic_case(32, 7032)
+        for m in (fac.minus, fac.plus):
+            dens = {e.den.coeffs.tobytes() for row in m.rows for e in row}
+            assert GridEvaluator(m).horner.shape[1] == 32 + 1 + len(dens)
+
+    def test_parsed_factorization_gets_the_same_report(self):
+        # a parsed document has no scaled entries, so every entry is
+        # evaluated from its own coefficients
+        for target, fac in (good_case(), order16_case()):
+            parsed = parse_factorization(serialize_factorization(fac))
+            assert all(e._base is None for row in parsed.minus.rows for e in row)
+            want = verify_matrix_factorization(target, fac)
+            got = verify_matrix_factorization(target, parsed)
+            assert want.passed
+            for w, g in zip(want.checks, got.checks):
+                assert (w.name, w.passed, w.detail) == (g.name, g.passed, g.detail)
+            assert abs(got.checks[0].residual - want.checks[0].residual) <= 1e-13 * max(
+                np.max(np.abs(target.eval_grid(CircleGrid(512)))), 1.0
+            )
 
     def test_singular_target_reported_honestly(self):
         # target determinant vanishes on the circle: index_sum cannot be
