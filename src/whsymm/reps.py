@@ -13,7 +13,6 @@ imaginary, so their entries are exact up to one floating literal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,62 +158,38 @@ def _q8_irreps() -> tuple[Irrep, ...]:
     return _char_irreps(chars) + (Irrep(2, two),)
 
 
-def _a4_rotation_candidates() -> list[np.ndarray]:
-    """All 3x3 signed permutation matrices with determinant +1."""
-    out = []
-    for perm in itertools.permutations(range(3)):
-        p = np.zeros((3, 3))
-        for r, c in enumerate(perm):
-            p[r, c] = 1.0
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            m = np.diag(signs) @ p
-            if round(np.linalg.det(m)) == 1:
-                out.append(m.astype(complex))
-    return out
-
-
 def _a4_three_dim(group: FiniteGroup) -> np.ndarray:
-    """Exact degree-3 representation by matching generators onto the
-    twelve rotation matrices with entries in {0, +-1}."""
-    rots = _a4_rotation_candidates()
-    a, b = 4, 1  # generators: a 3-cycle and a double transposition
+    """Exact degree-3 representation: the rotation group of the
+    tetrahedron, generated by a cyclic permutation of the axes (the
+    image of the 3-cycle) and a half-turn about the first axis (the
+    image of the double transposition), closed over the Cayley table
+    and checked to be a homomorphism."""
+    gens = {
+        4: np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex),
+        1: np.array([[1, 0, 0], [0, -1, 0], [0, 0, -1]], dtype=complex),
+    }
     n = group.order
     table = group.cayley
-
-    def try_pair(ma: np.ndarray, mb: np.ndarray):
-        images: dict[int, np.ndarray] = {0: np.eye(3, dtype=complex)}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gen, mg in ((a, ma), (b, mb)):
-                    y = int(table[x, gen])
-                    m = images[x] @ mg
-                    if y in images:
-                        if not np.array_equal(images[y], m):
-                            return None
-                    else:
-                        images[y] = m
-                        nxt.append(y)
-            frontier = nxt
-        if len(images) != n:
-            return None
-        for x in range(n):
-            for y in range(n):
-                if not np.array_equal(images[int(table[x, y])], images[x] @ images[y]):
-                    return None
-        return np.stack([images[x] for x in range(n)])
-
-    order3 = [m for m in rots if not np.array_equal(m, np.eye(3)) and np.array_equal(
-        np.linalg.matrix_power(m.real.astype(np.int64), 3), np.eye(3, dtype=np.int64))]
-    order2 = [m for m in rots if not np.array_equal(m, np.eye(3)) and np.array_equal(
-        np.linalg.matrix_power(m.real.astype(np.int64), 2), np.eye(3, dtype=np.int64))]
-    for ma in order3:
-        for mb in order2:
-            got = try_pair(ma, mb)
-            if got is not None:
-                return got
-    raise WhsymmError("no rotation model found for the degree-3 representation")
+    images: dict[int, np.ndarray] = {0: np.eye(3, dtype=complex)}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gen, mg in gens.items():
+                y = int(table[x, gen])
+                if y not in images:
+                    images[y] = images[x] @ mg
+                    nxt.append(y)
+        frontier = nxt
+    # with the generators' own products among them, this also checks
+    # that the closure reached each element by one consistent path
+    if len(images) != n or not all(
+        np.array_equal(images[int(table[x, y])], images[x] @ images[y])
+        for x in range(n)
+        for y in range(n)
+    ):
+        raise WhsymmError("the rotation model is not a representation of a4")
+    return np.stack([images[x] for x in range(n)])
 
 
 def _a4_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:

@@ -4,6 +4,14 @@ Nothing in this module trusts how a factorization was produced.  Checks
 are scored as (residual, tolerance) pairs so a report can be rendered
 uniformly; structural checks (root locations, degree balance, index
 bookkeeping) use tolerance 0 with an integer-valued residual.
+
+Determinant samples come from ``GridEvaluator.slogdet``.  A factor that
+shows the shape C diag(s(t)) or diag(s(t)) C, with C constant and each
+s_j one scaled source (the stitched factors of an abelian or center
+symbol), is sampled as det(C) prod_j s_j(t), which is its determinant
+exactly; every other matrix, the target among them and every matrix
+parsed from a document, by LU of its dense samples.  So the index
+oracle on the target never takes the factors' product path.
 """
 
 from __future__ import annotations
@@ -128,6 +136,9 @@ def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
     over- or underflows, and the grid is evaluated and factored in
     chunks of at most _CHUNK_BYTES working memory; only the (N,)
     samples are held whole, and every test below runs on all of them.
+    Each chunk's samples are GridEvaluator.slogdet's: det(C) prod_j
+    s_j(t) when m is C diag(s) or diag(s) C, an identity that holds
+    pointwise, and LU of the dense samples otherwise.
 
     Returns (winding, min log|det|, max log|det|) over the accepted grid.
     """
@@ -135,9 +146,9 @@ def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
     n = max(n0, _WINDING_FLOOR)
     while True:
         pts = CircleGrid(n).points
-        chunks = [np.linalg.slogdet(ev(p)) for p in point_chunks(pts, ev.bytes_per_point)]
-        sign = np.concatenate([c.sign for c in chunks])
-        logabs = np.concatenate([c.logabsdet for c in chunks])
+        chunks = [ev.slogdet(p) for p in point_chunks(pts, ev.bytes_per_point)]
+        sign = np.concatenate([c[0] for c in chunks])
+        logabs = np.concatenate([c[1] for c in chunks])
         top = float(np.max(logabs))
         bottom = float(np.min(logabs))
         if top == -np.inf or bottom - top <= np.log(1e-13):

@@ -25,6 +25,8 @@ from whsymm import (
     UndersampledError,
     VerificationReport,
     assemble_matrix,
+    build_group,
+    center_factorize,
     det_index_oracle,
     factor_group_symbol,
     factor_triangular_2x2,
@@ -35,7 +37,7 @@ from whsymm import verify
 from whsymm.blocks import MatrixFactorization
 from whsymm.documents import parse_factorization, serialize_factorization
 
-from conftest import dominant_cyclic_symbol
+from conftest import dominant_cyclic_symbol, random_center_symbol
 from whsymm.ratmat import GridEvaluator, diag_power_eval
 
 DECLINE = (UndersampledError, NotInvertibleOnCircleError)
@@ -43,15 +45,39 @@ DECLINE = (UndersampledError, NotInvertibleOnCircleError)
 # fixed unitary so planted determinants live in dense 2x2 matrices
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
+# H D H^T has entries that are sums, so its determinant is LU of the
+# dense samples; H D is C diag(s) and D H^T is diag(s) C, whose
+# determinants GridEvaluator.slogdet takes as det(C) prod s_j
+SHAPES = ("dense", "columns", "rows")
 
-def planted_det_matrix(roots, extra=None):
-    """A dense 2x2 matrix whose determinant is prod (t - r) times the
+
+def shaped(diag, shape):
+    """diag(entries) as H D H^T, H D or D H^T with H a normalized
+    Hadamard matrix of the same order (a power of two)."""
+    h = np.ones((1, 1))
+    while h.shape[0] < len(diag):
+        h = np.block([[h, h], [h, -h]]) / np.sqrt(2.0)
+    m = RationalMatrix.diag(diag)
+    if shape != "rows":
+        m = m.const_mul_left(h)
+    if shape != "columns":
+        m = m.const_mul_right(h.T)
+    assert shape == "dense" or GridEvaluator(m).product is not None
+    return m
+
+
+def planted_det_matrix(roots, extra=None, shape="dense"):
+    """A 2x2 matrix whose determinant is prod (t - r) times the
     determinant of the benign second diagonal entry."""
     p = RationalSymbol.from_poly(LaurentPoly.from_roots(roots))
     other = extra if extra is not None else RationalSymbol.const(1.0)
-    z = RationalSymbol.zero()
-    m = RationalMatrix([[p, z], [z, other]])
-    return m.const_mul_left(HADAMARD).const_mul_right(HADAMARD.T)
+    return shaped([p, other], shape)
+
+
+def unscaled(m: RationalMatrix) -> RationalMatrix:
+    """m with every entry a fresh symbol of its own coefficients, as a
+    parsed document gives it: no scaled sources, so LU of the samples."""
+    return RationalMatrix([[RationalSymbol(e.num, e.den) for e in row] for row in m.rows])
 
 
 class TestCheckMechanics:
@@ -105,35 +131,41 @@ class TestDetIndexOracle:
             ([mk(0.5, 1.0), mk(2.0, 2.0)], 1),
             ([mk(0.3, 0.5), mk(0.7, 2.5), mk(1.5, 4.0)], 2),
         ]
-        for roots, want in cases:
-            assert det_index_oracle(planted_det_matrix(roots)) == want
+        for shape in SHAPES:
+            for roots, want in cases:
+                assert det_index_oracle(planted_det_matrix(roots, shape=shape)) == want
 
     def test_t_power_in_second_entry(self):
-        m = planted_det_matrix([0.5], extra=RationalSymbol.monomial(-2, 3.0))
-        assert det_index_oracle(m) == -1
+        for shape in SHAPES:
+            m = planted_det_matrix([0.5], extra=RationalSymbol.monomial(-2, 3.0), shape=shape)
+            assert det_index_oracle(m) == -1
 
     def test_double_cluster_one_thousandth_off_circle(self):
         # the canonical trap: a multiplicity-2 zero at distance 1e-3
         # hides a full phase turn inside one step of every coarse grid;
         # the magnitude certificate must force refinement until the
         # true count 2 emerges
-        for ang in (0.0, 0.7, 2.1, 4.4):
-            r = (1.0 - 1e-3) * np.exp(1j * ang)
-            m = planted_det_matrix([r, r])
-            assert det_index_oracle(m) == 2
+        for shape in SHAPES:
+            for ang in (0.0, 0.7, 2.1, 4.4):
+                r = (1.0 - 1e-3) * np.exp(1j * ang)
+                m = planted_det_matrix([r, r], shape=shape)
+                assert det_index_oracle(m) == 2
 
     def test_triple_cluster_resolvable(self):
         r = (1.0 - 1e-2) * np.exp(0.9j)
-        assert det_index_oracle(planted_det_matrix([r, r, r])) == 3
+        for shape in SHAPES:
+            assert det_index_oracle(planted_det_matrix([r, r, r], shape=shape)) == 3
 
     def test_quadruple_cluster_resolvable(self):
         r = (1.0 - 1e-2) * np.exp(2.3j)
-        assert det_index_oracle(planted_det_matrix([r] * 4)) == 4
+        for shape in SHAPES:
+            assert det_index_oracle(planted_det_matrix([r] * 4, shape=shape)) == 4
 
     def test_straddling_pair(self):
         # one zero just inside, its reflection just outside: count 1
-        m = planted_det_matrix([0.999, 1.0 / 0.999])
-        assert det_index_oracle(m) == 1
+        for shape in SHAPES:
+            m = planted_det_matrix([0.999, 1.0 / 0.999], shape=shape)
+            assert det_index_oracle(m) == 1
 
     def test_unresolvable_clusters_decline_never_lie(self):
         evil = [
@@ -142,13 +174,15 @@ class TestDetIndexOracle:
             [(1.0 - 1e-4) * np.exp(0.8j)] * 4,
             [(1.0 - 1e-3) * np.exp(2.8j)] * 4,
         ]
-        for roots in evil:
-            with pytest.raises(DECLINE):
-                det_index_oracle(planted_det_matrix(roots))
+        for shape in SHAPES:
+            for roots in evil:
+                with pytest.raises(DECLINE):
+                    det_index_oracle(planted_det_matrix(roots, shape=shape))
 
     def test_zero_on_circle_rejected(self):
-        with pytest.raises(NotInvertibleOnCircleError):
-            det_index_oracle(planted_det_matrix([1.0j]))
+        for shape in SHAPES:
+            with pytest.raises(NotInvertibleOnCircleError):
+                det_index_oracle(planted_det_matrix([1.0j], shape=shape))
 
     def test_accepts_grid_or_int(self):
         m = planted_det_matrix([0.5])
@@ -163,9 +197,14 @@ class TestDetIndexOracle:
             e = RationalSymbol.from_poly(LaurentPoly.from_roots([0.5], c))
             m = RationalMatrix([[e if i == j else z for j in range(4)] for i in range(4)])
             assert det_index_oracle(m) == 4
+            # four distinct zeros, so that H D H^T stays dense
+            diag = [RationalSymbol.from_poly(LaurentPoly.from_roots([0.5 * 1j**k], c)) for k in range(4)]
+            assert GridEvaluator(shaped(diag, "dense")).product is None
+            for shape in SHAPES:
+                assert det_index_oracle(shaped(diag, shape)) == 4
 
     def test_chunk_boundaries_are_invisible(self, monkeypatch):
-        mats = [planted_det_matrix([r, r]) for r in (0.999, 0.999j)]
+        mats = [planted_det_matrix([r, r], shape=s) for r in (0.999, 0.999j) for s in SHAPES]
         want = [verify._det_winding(m, 512) for m in mats]
         # a few points per chunk, and chunks that do not divide the grid
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 3000)
@@ -178,8 +217,60 @@ class TestDetIndexOracle:
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 1 << 12)
         step = verify._CHUNK_BYTES // GridEvaluator(m).bytes_per_point
         assert 0 < step < verify._WINDING_FLOOR // 2
-        with pytest.raises(PoleOnGridError, match=r"grid point -1\+"):
-            det_index_oracle(m)
+        one = RationalSymbol.const(1.0)
+        for m in [m] + [shaped([pole, one], shape) for shape in SHAPES]:
+            with pytest.raises(PoleOnGridError, match=r"grid point -1\+"):
+                det_index_oracle(m)
+
+    def test_product_samples_match_dense_lu(self):
+        # stitched abelian and center factors: det(C) prod s_j against
+        # np.linalg.slogdet of the gathered samples, on and off the circle
+        _, fac = order16_case()
+        cs = random_center_symbol(build_group({"kind": "q8"}), np.random.default_rng(0))
+        center = center_factorize(cs).factorization
+        pts = np.concatenate([CircleGrid(1024).points, 1.3 * CircleGrid(64).points])
+        for m in (fac.minus, fac.plus, center.minus, center.plus):
+            ev = GridEvaluator(m)
+            assert ev.product is not None
+            sign, logabs = ev.slogdet(pts)
+            want = np.linalg.slogdet(m.eval_grid(pts))
+            assert np.max(np.abs(logabs - want.logabsdet)) <= 1e-12
+            assert np.max(np.abs(sign - want.sign)) <= 1e-12
+
+    def test_column_scaled_matches_dense_path(self):
+        # C diag(s) with a unitary C and with cond(C) about 1e9: the
+        # winding and the |det| detail are those LU of the samples gives
+        s = [
+            RationalSymbol.from_poly(LaurentPoly.from_roots([0.5, 3.0])),
+            RationalSymbol(LaurentPoly.from_roots([0.2j], 2.0), LaurentPoly.from_roots([2.5])),
+            RationalSymbol.from_poly(LaurentPoly.from_roots([-0.4, 0.3 + 0.3j], 1e-3)),
+        ]
+        dft = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3.0)
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        ill = q @ np.diag([1.0, 1e-4, 1e-9]) @ dft
+        assert 1e8 < np.linalg.cond(ill) < 1e10
+        for c in (dft, ill):
+            m = RationalMatrix.diag(s).const_mul_left(c)
+            assert GridEvaluator(m).product is not None
+            assert GridEvaluator(unscaled(m)).product is None
+            got = verify._factor_invertibility(m, 512, "det")
+            want = verify._factor_invertibility(unscaled(m), 512, "det")
+            assert det_index_oracle(m) == det_index_oracle(unscaled(m)) == 4
+            assert (got.residual, got.detail) == (want.residual, want.detail)
+
+    def test_singular_scale_matrix_declines(self):
+        # a rank-deficient C (exactly, and up to roundoff) and an
+        # all-zero column: det m(t) vanishes identically
+        s = [RationalSymbol.from_poly(LaurentPoly.from_roots([r])) for r in (0.5, 2.0, 0.3j)]
+        u = np.random.default_rng(5).normal(size=(3, 2))
+        cs = [np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]), u @ u.T]
+        mats = [RationalMatrix.diag(s).const_mul_left(c) for c in cs]
+        mats += [RationalMatrix.diag(s).const_mul_right(c) for c in cs]
+        mats.append(RationalMatrix.diag([s[0], RationalSymbol.zero(), s[2]]).const_mul_left(np.ones((3, 3))))
+        for m in mats:
+            assert GridEvaluator(m).product is not None
+            with pytest.raises(NotInvertibleOnCircleError, match="det nearly vanishes on the circle"):
+                det_index_oracle(m)
 
 
 def good_case():
@@ -370,12 +461,35 @@ class TestVerifyMatrixFactorization:
             dens = {e.den.coeffs.tobytes() for row in m.rows for e in row}
             assert GridEvaluator(m).horner.shape[1] == 32 + 1 + len(dens)
 
+    def test_only_the_target_is_factored_by_lu(self, monkeypatch):
+        # the stitched factors take det(C) prod s_j; LU of n x n samples
+        # runs exactly as often as the target's oracle alone needs it
+        target, fac = order16_case()
+        dense = np.linalg.slogdet
+        calls = []
+
+        def counting(a):
+            if np.ndim(a) == 3:
+                calls.append(np.shape(a)[1:])
+            return dense(a)
+
+        monkeypatch.setattr(np.linalg, "slogdet", counting)
+        det_index_oracle(target)
+        alone = len(calls)
+        assert alone > 0 and set(calls) == {(16, 16)}
+        calls.clear()
+        assert verify_matrix_factorization(target, fac).passed
+        assert len(calls) == alone
+
     def test_parsed_factorization_gets_the_same_report(self):
         # a parsed document has no scaled entries, so every entry is
-        # evaluated from its own coefficients
+        # evaluated from its own coefficients and every determinant is
+        # LU of the dense samples
         for target, fac in (good_case(), order16_case()):
             parsed = parse_factorization(serialize_factorization(fac))
             assert all(e._base is None for row in parsed.minus.rows for e in row)
+            assert GridEvaluator(parsed.minus).product is None
+            assert GridEvaluator(parsed.plus).product is None
             want = verify_matrix_factorization(target, fac)
             got = verify_matrix_factorization(target, parsed)
             assert want.passed
