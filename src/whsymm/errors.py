@@ -66,8 +66,8 @@ class PoleOnGridError(WhsymmError):
 
 
 class UndersampledError(WhsymmError):
-    """A grid-based phase sum did not round cleanly to an integer; the
-    sampling rate is too low for this symbol."""
+    """A sampled winding was not certified at any grid size the cap
+    allows, or disagrees with the count from the roots."""
 
     exit_code = 3
 

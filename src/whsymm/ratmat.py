@@ -327,12 +327,3 @@ def _product_plan(where: np.ndarray, factor: np.ndarray, zero: int):
                 sign, logabs = 0.0, -np.inf
             return first, complex(sign), float(logabs)
     return None
-
-
-def diag_power_eval(d: list[int], pts: np.ndarray) -> np.ndarray:
-    """Samples of diag(t**d_i), shape (N, n, n)."""
-    n = len(d)
-    out = np.zeros((pts.size, n, n), dtype=complex)
-    for i, k in enumerate(d):
-        out[:, i, i] = pts**k
-    return out

@@ -21,17 +21,17 @@ import numpy as np
 
 from .errors import NotInvertibleOnCircleError, UndersampledError
 from .symbols import (
-    PHASE_GUARD,
     CircleGrid,
     LaurentPoly,
     RationalSymbol,
     eval_on_grid,
     inside_excess,
     outside_excess,
+    phase_winding,
     split_by_circle,
     winding_index,
 )
-from .verify import RECON_TOL, Check, VerificationReport, reconstruction_check
+from .verify import RECON_TOL, Check, VerificationReport, _guarded, reconstruction_check
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,7 @@ def factor_rational(s: RationalSymbol) -> ScalarFactorization:
     """
     if s.is_zero:
         raise NotInvertibleOnCircleError("cannot factor the zero symbol")
-    # the winding's own phase cross-check raises on an undersampled or
-    # near-circle symbol; its count equals rho below by construction
-    winding_index(s)
+    rho = winding_index(s)
     zeros_in, zeros_out = split_by_circle(s.num)
     poles_in, poles_out = split_by_circle(s.den)
 
@@ -62,7 +60,6 @@ def factor_rational(s: RationalSymbol) -> ScalarFactorization:
     plus = RationalSymbol(
         LaurentPoly.from_roots(zeros_out, lead), LaurentPoly.from_roots(poles_out)
     )
-    rho = s.num.min_deg + len(zeros_in) - len(poles_in)
     return ScalarFactorization(minus, rho, plus)
 
 
@@ -70,8 +67,9 @@ def factor_grid(samples) -> tuple[np.ndarray, int, np.ndarray]:
     """Grid factorization from samples on the N-th roots of unity.
 
     N must be a power of two >= 64.  Returns (minus samples, rho, plus
-    samples) on the same grid.  The winding index comes from the cyclic
-    sum of normalized phase steps; the factors from splitting the FFT of
+    samples) on the same grid.  The winding index is phase_winding's
+    certified count on this one grid, and samples that do not certify it
+    raise UndersampledError; the factors come from splitting the FFT of
     log(s * t**-rho) into negative and nonnegative frequencies.
     """
     v = np.asarray(samples, dtype=complex)
@@ -80,24 +78,12 @@ def factor_grid(samples) -> tuple[np.ndarray, int, np.ndarray]:
     if np.any(v == 0):
         raise NotInvertibleOnCircleError("zero sample in grid factorization input")
     n = v.size
-    steps = np.angle(np.roll(v, -1) / v)
-    # A cyclic sum of principal-value steps is an exact multiple of 2*pi
-    # (the ratios multiply to 1), so a non-integral total can only come
-    # from roundoff; undersampling shows up as individual steps near the
-    # branch cut, where the phase between samples becomes ambiguous.
-    worst = float(np.max(np.abs(steps)))
-    if worst > 1.0:
+    rho, turns = phase_winding(np.roll(v, -1) / v)
+    if rho is None:
         raise UndersampledError(
-            f"phase step of {worst:.3f} rad between neighboring samples; "
-            "the winding is ambiguous at this rate, refine the grid"
+            f"samples do not certify a winding at N={n} ({turns:.4f} turns); "
+            "refine the grid"
         )
-    turns = float(np.sum(steps) / (2.0 * np.pi))
-    if abs(turns - round(turns)) > PHASE_GUARD:
-        raise UndersampledError(
-            f"phase sum {turns:.4f} is not within {PHASE_GUARD} of an integer; "
-            f"refine the grid"
-        )
-    rho = int(round(turns))
 
     pts = CircleGrid(n).points
     mu = v * pts ** (-rho)
@@ -151,9 +137,6 @@ def verify_scalar(
             v = max(v, float(abs(plus.num.min_deg)))
     checks.append(Check("plus_analytic_inside", v, 0.0))
 
-    try:
-        checks.append(Check("index", float(abs(fac.index - winding_index(s))), 0.0))
-    except NotInvertibleOnCircleError as exc:
-        checks.append(Check("index", float("inf"), 0.0, str(exc)))
+    checks.append(_guarded("index", lambda: (float(abs(fac.index - winding_index(s))), "")))
 
     return VerificationReport(tuple(checks), subject="scalar factorization")

@@ -26,6 +26,11 @@ ROOT_DEGREE_CAP = 64
 CIRCLE_TOL = 1e-8
 # A numeric phase sum must land within this distance of an integer.
 PHASE_GUARD = 0.1
+# A sampled winding counts only while each sample's neighbours are within
+# MAG_GUARD of its value, which also keeps every phase step between them
+# within arcsin(MAG_GUARD) = pi/6; grids are refined up to WINDING_CAP points.
+MAG_GUARD = 0.5
+WINDING_CAP = 2**17
 # Default clustering radius when grouping nearby roots into one multiple root.
 ROOT_CLUSTER_TOL = 1e-8
 
@@ -448,13 +453,53 @@ def inside_excess(p: LaurentPoly) -> float:
     return v
 
 
+def phase_winding(q: np.ndarray) -> tuple[int | None, float]:
+    """Certified winding of a closed loop of samples v_k around the
+    circle, from its cyclic neighbour ratios q_k = v_{k+1} / v_k.
+
+    A phase sum alone is not trustworthy: an even cluster of zeros just
+    off the circle wraps a full turn inside one grid step while every
+    measured step stays small.  It cannot hide its magnitude dip, so the
+    sum counts only when every |q_k - 1| and |1/q_k - 1| is at most
+    MAG_GUARD (a pointwise Lipschitz test that fails whenever a zero lies
+    within a couple of grid steps of the circle, and that keeps every
+    step |arg q_k| within pi/6) and the sum is within PHASE_GUARD of an
+    integer.
+
+    Returns (winding, turns): the phase sum in turns, and its nearest
+    integer when every test passes, None otherwise (also for a zero or
+    non-finite sample).
+    """
+    # |1/q - 1| = |q - 1| / |q|, so both bounds are one comparison
+    gap = np.abs(q - 1)
+    calm = bool(np.all(gap <= MAG_GUARD * np.minimum(1.0, np.abs(q))))
+    turns = float(np.sum(np.angle(q)) / (2.0 * np.pi))
+    if calm and abs(turns - round(turns)) <= PHASE_GUARD:
+        return round(turns), turns
+    return None, turns
+
+
+def certified_winding(ratios, n: int) -> tuple[int | None, float, int]:
+    """phase_winding of ``ratios(n)``, the neighbour ratios of samples on
+    CircleGrid(n), doubling n until it certifies or n reaches WINDING_CAP
+    (an m-fold zero at distance d from the circle needs N > 2 pi m / d or
+    so).  Returns (winding, turns, n) of the last grid tried."""
+    while True:
+        winding, turns = phase_winding(ratios(n))
+        if winding is not None or n >= WINDING_CAP:
+            return winding, turns, n
+        n *= 2
+
+
 def winding_index(s: RationalSymbol) -> int:
     """Winding number of s around 0 as t runs over the unit circle.
 
     Computed exactly from root locations (zeros inside minus poles
-    inside, plus the net power of t), then cross-checked against an
-    argument-principle phase sum on a refining grid.  Symbols with a
-    zero or pole within CIRCLE_TOL of the circle are rejected.
+    inside, plus the net power of t) and returned only when the
+    certified_winding from N = 256 equals it; otherwise, as when the
+    root finder scatters a multiple root near the circle across it,
+    UndersampledError.  Symbols with a zero or pole within CIRCLE_TOL
+    of the circle are rejected.
     """
     if s.is_zero:
         raise NotInvertibleOnCircleError("the zero symbol has no winding index")
@@ -462,22 +507,19 @@ def winding_index(s: RationalSymbol) -> int:
     poles_in, _ = split_by_circle(s.den)
     idx = s.num.min_deg - s.den.min_deg + len(zeros_in) - len(poles_in)
 
-    n = 256
-    while True:
+    def ratios(n: int) -> np.ndarray:
         vals = eval_on_grid(s, CircleGrid(n))
-        steps = np.angle(np.roll(vals, -1) / vals)
-        turns = float(np.sum(steps) / (2.0 * np.pi))
-        # The root count is the answer; the phase sum only has to land
-        # on it.  Roots hugging the circle can pin one step near pi at
-        # every grid size, so no per-step hygiene is demanded here.
-        if abs(turns - idx) <= PHASE_GUARD:
-            return idx
-        if n >= (1 << 17):
-            raise UndersampledError(
-                f"argument-principle check disagrees with root count "
-                f"({turns:.3f} turns vs {idx}) at N={n}"
-            )
-        n *= 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.roll(vals, -1) / vals
+
+    winding, turns, n = certified_winding(ratios, 256)
+    if winding != idx:
+        uncertified = "" if winding is not None else " uncertified"
+        raise UndersampledError(
+            f"argument-principle check disagrees with root count "
+            f"({turns:.3f}{uncertified} turns vs {idx}) at N={n}"
+        )
+    return idx
 
 
 # ----------------------------------------------------------------------

@@ -23,9 +23,9 @@ import numpy as np
 from .errors import NotInvertibleOnCircleError, UndersampledError, WhsymmError
 from .ratmat import GridEvaluator, RationalMatrix
 from .symbols import (
-    PHASE_GUARD,
     CircleGrid,
     RationalSymbol,
+    certified_winding,
     inside_excess,
     outside_excess,
 )
@@ -95,14 +95,8 @@ def unitarity_check(m: np.ndarray, tol: float = UNITARY_TOL, name: str = "unitar
     return VerificationReport((Check(name, res, tol),))
 
 
-# Grid bounds and cleanliness thresholds for the sampled winding.  A
-# phase step above _STEP_GUARD radians, or a sample whose neighbor
-# differs by more than _MAG_GUARD of its own magnitude, means the grid
-# has not resolved the determinant there yet.
+# Smallest grid the sampled determinant winding starts from.
 _WINDING_FLOOR = 1 << 14
-_WINDING_CAP = 1 << 17
-_STEP_GUARD = 1.0
-_MAG_GUARD = 0.5
 # Working memory for one chunk of grid samples, every temporary
 # of the evaluation counted (GridEvaluator.bytes_per_point).  At order 32
 # a chunk is a few dozen points and stays in cache; a 5x5 matrix still
@@ -120,22 +114,14 @@ def point_chunks(pts: np.ndarray, bytes_per_point: int):
 def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
     """Winding of det m(t) around 0 from a dense circle sampling.
 
-    A phase sum alone is not trustworthy: an even cluster of
-    determinant zeros just off the circle wraps a full turn inside one
-    grid step while every measured step stays small.  Such a cluster
-    cannot hide its magnitude dip, though, so cleanliness demands both
-    tame phase steps and a pointwise Lipschitz certificate: each
-    sample's neighbors must stay within _MAG_GUARD of its own modulus,
-    which fails whenever a zero lies within a couple of grid steps of
-    the circle.  The grid is refined until both hold (zeros at distance
-    d need roughly h < d / multiplicity), so inputs whose determinant
-    zeros hug the circle tighter than the cap resolves are declined
-    rather than misjudged.
+    The winding is certified_winding's, from N = max(n0, _WINDING_FLOOR),
+    so inputs whose determinant zeros hug the circle tighter than its cap
+    resolves are declined rather than misjudged.
 
     Samples are taken as (det / |det|, log |det|) so that no modulus
     over- or underflows, and the grid is evaluated and factored in
     chunks of at most _CHUNK_BYTES working memory; only the (N,)
-    samples are held whole, and every test below runs on all of them.
+    samples are held whole, and every test runs on all of them.
     Each chunk's samples are GridEvaluator.slogdet's: det(C) prod_j
     s_j(t) when m is C diag(s) or diag(s) C, an identity that holds
     pointwise, and LU of the dense samples otherwise.
@@ -143,8 +129,9 @@ def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
     Returns (winding, min log|det|, max log|det|) over the accepted grid.
     """
     ev = GridEvaluator(m)
-    n = max(n0, _WINDING_FLOOR)
-    while True:
+    span = []
+
+    def ratios(n: int) -> np.ndarray:
         pts = CircleGrid(n).points
         chunks = [ev.slogdet(p) for p in point_chunks(pts, ev.bytes_per_point)]
         sign = np.concatenate([c[0] for c in chunks])
@@ -153,25 +140,18 @@ def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
         bottom = float(np.min(logabs))
         if top == -np.inf or bottom - top <= np.log(1e-13):
             raise NotInvertibleOnCircleError("det nearly vanishes on the circle")
-        # det at each sample's neighbors relative to det at the sample
+        span[:] = bottom, top
+        # det at each sample's next neighbour relative to det at the sample
         with np.errstate(over="ignore", invalid="ignore"):
-            ahead = np.roll(sign, -1) / sign * np.exp(np.roll(logabs, -1) - logabs)
-            behind = np.roll(sign, 1) / sign * np.exp(np.roll(logabs, 1) - logabs)
-        calm = bool(np.all(np.maximum(np.abs(ahead - 1), np.abs(behind - 1)) <= _MAG_GUARD))
-        steps = np.angle(np.roll(sign, -1) / sign)
-        turns = float(np.sum(steps) / (2.0 * np.pi))
-        if (
-            calm
-            and float(np.max(np.abs(steps))) < _STEP_GUARD
-            and abs(turns - round(turns)) <= PHASE_GUARD
-        ):
-            return int(round(turns)), bottom, top
-        if n >= _WINDING_CAP:
-            raise UndersampledError(
-                f"det winding did not resolve by N={n} ({turns:.4f} turns); "
-                "its zeros come too close to the unit circle"
-            )
-        n *= 2
+            return np.roll(sign, -1) / sign * np.exp(np.roll(logabs, -1) - logabs)
+
+    winding, turns, n = certified_winding(ratios, max(n0, _WINDING_FLOOR))
+    if winding is None:
+        raise UndersampledError(
+            f"det winding did not resolve by N={n} ({turns:.4f} turns); "
+            "its zeros come too close to the unit circle"
+        )
+    return winding, span[0], span[1]
 
 
 def det_index_oracle(m: RationalMatrix, grid: CircleGrid | int = 512) -> int:
@@ -183,8 +163,7 @@ def det_index_oracle(m: RationalMatrix, grid: CircleGrid | int = 512) -> int:
     automatically until the winding is resolved.
     """
     n0 = grid if isinstance(grid, int) else grid.n
-    idx, _, _ = _det_winding(m, n0)
-    return idx
+    return _det_winding(m, n0)[0]
 
 
 def _minus_entry_violation(sym: RationalSymbol) -> float:

@@ -92,6 +92,15 @@ def random_center_symbol(group, rng):
     return CenterSymbol(group, [random_symbol(rng, i < 2) for i in range(k)])
 
 
+def diag_power_eval(d, pts):
+    """Samples of diag(t**d_i), shape (N, n, n)."""
+    n = len(d)
+    out = np.zeros((pts.size, n, n), dtype=complex)
+    for i, k in enumerate(d):
+        out[:, i, i] = pts**k
+    return out
+
+
 def dominant_cyclic_symbol(n, seed):
     """A cyclic(n) group symbol whose identity coefficient dominates, so
     every block stays well-posed."""

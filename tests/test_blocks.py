@@ -39,9 +39,8 @@ from whsymm import (
     verify_matrix_factorization,
     winding_index,
 )
-from whsymm.ratmat import diag_power_eval
 
-from conftest import draw_group_symbol, random_group_symbol, random_symbol
+from conftest import diag_power_eval, draw_group_symbol, random_group_symbol, random_symbol
 
 EPS = np.exp(2j * np.pi / 3)
 

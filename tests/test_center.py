@@ -28,9 +28,8 @@ from whsymm import (
     verify_matrix_factorization,
     winding_index,
 )
-from whsymm.ratmat import diag_power_eval
 
-from conftest import random_center_symbol
+from conftest import diag_power_eval, random_center_symbol
 
 GROUPS = ("s3", "q8", "a4", "klein4")
 

@@ -193,6 +193,15 @@ class TestFactorizeScalar:
         assert code == 3
         assert out == "" and "error" in err
 
+    def test_root_cluster_at_the_circle_is_declined(self):
+        # (t - 0.9999 e^{0.8i})^4 has index 4; the root finder scatters
+        # the cluster across the circle and counts 2
+        coeffs = np.poly([0.9999 * np.exp(0.8j)] * 4)[::-1]
+        doc = json.dumps({"num": {"min_deg": 0, "coeffs": [[c.real, c.imag] for c in coeffs]}})
+        code, out, err = run(["factorize", "--scalar", doc])
+        assert code == 3
+        assert out == "" and "disagrees" in err
+
 
 class TestFactorizeMatrix:
     def test_abelian_full_factorization(self):

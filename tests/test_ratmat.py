@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from whsymm import CircleGrid, LaurentPoly, PoleOnGridError, RationalMatrix, RationalSymbol
-from whsymm.ratmat import GridEvaluator, Zero, diag_power_eval
+from whsymm.ratmat import GridEvaluator, Zero
 from whsymm.symbols import eval_on_grid
 
 from conftest import random_symbol
@@ -201,14 +201,3 @@ class TestEvaluation:
         with pytest.raises(PoleOnGridError):
             m.eval_grid(CircleGrid(8))
         assert m.eval_grid(np.array([0.5]))[0, 0, 1] == pytest.approx(1 / 1.5)
-
-    def test_diag_power_eval(self):
-        pts = CircleGrid(8).points
-        out = diag_power_eval([2, -1, 0], pts)
-        assert out.shape == (8, 3, 3)
-        assert np.allclose(out[:, 0, 0], pts**2)
-        assert np.allclose(out[:, 1, 1], pts**-1)
-        assert np.allclose(out[:, 2, 2], 1.0)
-        off = out.copy()
-        off[:, [0, 1, 2], [0, 1, 2]] = 0
-        assert np.allclose(off, 0)

@@ -16,11 +16,13 @@ from whsymm import (
     LaurentPoly,
     NotInvertibleOnCircleError,
     RationalSymbol,
+    ScalarFactorization,
     UndersampledError,
     factor_grid,
     factor_rational,
     verify_scalar,
 )
+from whsymm.symbols import split_by_circle
 
 from conftest import richer_symbol
 
@@ -148,6 +150,14 @@ class TestFactorGrid:
         with pytest.raises(NotInvertibleOnCircleError):
             factor_grid(bad)
 
+    def test_double_zero_between_grid_points_is_undersampled(self):
+        # (t - 0.999 e^{i pi/64})^2 winds twice, but between two of the 64
+        # points its phase turns by a whole turn that no step shows
+        pts = CircleGrid(64).points
+        samples = 3.0 * (pts - 0.999 * np.exp(1j * np.pi / 64)) ** 2
+        with pytest.raises(UndersampledError):
+            factor_grid(samples)
+
     def test_nyquist_violation_is_undersampled(self):
         # t**40 on 64 points advances 3.9 rad per step, far past the
         # branch cut; the winding cannot be read at this rate
@@ -191,3 +201,19 @@ class TestVerifyScalar:
         report = verify_scalar(s, off)
         failed = {c.name for c in report.checks if not c.passed}
         assert "minus_normalized_at_infinity" in failed
+
+    def test_miscounted_cluster_fails_the_index_check(self):
+        # (t - 0.9999 e^{0.8i})^4: every zero is inside, but the root
+        # finder scatters the cluster across the circle
+        s = RationalSymbol.from_poly(LaurentPoly.from_roots([0.9999 * np.exp(0.8j)] * 4))
+        inside, outside = split_by_circle(s.num)
+        assert len(inside) != 4
+        fac = ScalarFactorization(
+            minus=RationalSymbol(LaurentPoly.from_roots(inside).shift(-len(inside))),
+            index=len(inside),
+            plus=RationalSymbol.from_poly(LaurentPoly.from_roots(outside)),
+        )
+        report = verify_scalar(s, fac)
+        index = next(c for c in report.checks if c.name == "index")
+        assert not index.passed and "disagrees" in index.detail
+        assert all(c.passed for c in report.checks if c.name != "index")

@@ -387,6 +387,43 @@ class TestWindingIndex:
         with pytest.raises(UndersampledError, match="disagrees"):
             winding_index(RationalSymbol.monomial(1))
 
+    def test_exact_zero_sample_is_declined(self, monkeypatch):
+        def with_zero(s, grid):
+            vals = grid.points.copy()
+            vals[3] = 0.0
+            return vals
+
+        monkeypatch.setattr(symbols, "eval_on_grid", with_zero)
+        with pytest.raises(UndersampledError, match="disagrees"):
+            winding_index(RationalSymbol.monomial(1))
+
+    def test_a_sudden_fall_is_not_certified(self):
+        # one neighbour falls to 0.6 of its sample (|q - 1| = 0.4 passes
+        # the forward test), and the loop climbs back in six small steps;
+        # only the backward test |1/q - 1| = 2/3 sees the fall
+        q = np.array([0.6] + [0.6 ** (-1 / 6)] * 6)
+        assert symbols.phase_winding(q)[0] is None
+        assert symbols.phase_winding(q ** 0.5) == (0, 0.0)
+
+    def test_root_clusters_near_the_circle_are_right_or_declined(self):
+        # the root finder scatters an m-fold root by about eps**(1/m), so
+        # a cluster this close to the circle can be split across it; the
+        # index is then either right or declined, never a wrong integer
+        wrong = []
+        for m in range(2, 7):
+            for d in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+                for side in (-1, 1):
+                    for theta in (0.0, 0.8, 2.1, 4.4):
+                        r = (1.0 + side * d) * np.exp(1j * theta)
+                        s = RationalSymbol.from_poly(LaurentPoly.from_roots([r] * m))
+                        try:
+                            got = winding_index(s)
+                        except (UndersampledError, NotInvertibleOnCircleError):
+                            continue
+                        if got != (m if side < 0 else 0):
+                            wrong.append((m, d, side, theta, got))
+        assert wrong == []
+
 
 class TestRootSplit:
     def test_split_keeps_multiplicity_and_root_order(self):

@@ -37,8 +37,8 @@ from whsymm import verify
 from whsymm.blocks import MatrixFactorization
 from whsymm.documents import parse_factorization, serialize_factorization
 
-from conftest import dominant_cyclic_symbol, random_center_symbol
-from whsymm.ratmat import GridEvaluator, diag_power_eval
+from conftest import diag_power_eval, dominant_cyclic_symbol, random_center_symbol
+from whsymm.ratmat import GridEvaluator
 
 DECLINE = (UndersampledError, NotInvertibleOnCircleError)
 
@@ -78,6 +78,18 @@ def unscaled(m: RationalMatrix) -> RationalMatrix:
     """m with every entry a fresh symbol of its own coefficients, as a
     parsed document gives it: no scaled sources, so LU of the samples."""
     return RationalMatrix([[RationalSymbol(e.num, e.den) for e in row] for row in m.rows])
+
+
+def test_diag_power_eval():
+    pts = CircleGrid(8).points
+    out = diag_power_eval([2, -1, 0], pts)
+    assert out.shape == (8, 3, 3)
+    assert np.allclose(out[:, 0, 0], pts**2)
+    assert np.allclose(out[:, 1, 1], pts**-1)
+    assert np.allclose(out[:, 2, 2], 1.0)
+    off = out.copy()
+    off[:, [0, 1, 2], [0, 1, 2]] = 0
+    assert np.allclose(off, 0)
 
 
 class TestCheckMechanics:
