@@ -14,6 +14,7 @@ together with the index bookkeeping that is still available.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     IllPosedSymbolError,
     NotInvertibleOnCircleError,
     PartialFactorizationError,
+    UndersampledError,
 )
 from .groups import FiniteGroup
 from .ratmat import RationalMatrix
@@ -283,6 +285,22 @@ def block_structure(group: FiniteGroup, repset: RepSet | None = None) -> BlockSt
     )
 
 
+@contextlib.contextmanager
+def _naming_the_block(what: str, k: int):
+    """Re-raise a decline from block k (0-based), described as ``what``,
+    with the block named: IllPosedSymbolError when the block is not
+    invertible on the circle, UndersampledError when its winding is not
+    resolved.  Both exit with code 3."""
+    try:
+        yield
+    except NotInvertibleOnCircleError as exc:
+        raise IllPosedSymbolError(
+            f"{what} is not invertible on the circle: {exc}", where=f"block {k + 1}"
+        ) from exc
+    except UndersampledError as exc:
+        raise UndersampledError(f"{what} has no resolved winding: {exc}") from exc
+
+
 def partial_indices(bd: BlockDiagonal) -> IndexReport:
     """Index bookkeeping for a block diagonalization.
 
@@ -301,12 +319,8 @@ def partial_indices(bd: BlockDiagonal) -> IndexReport:
             sym, what = block[0, 0], f"block {k + 1} (scalar)"
         else:
             sym, what = block.det(), f"det of block {k + 1}"
-        try:
+        with _naming_the_block(what, k):
             ind = winding_index(sym)
-        except NotInvertibleOnCircleError as exc:
-            raise IllPosedSymbolError(
-                f"{what} is not invertible on the circle: {exc}", where=f"block {k + 1}"
-            ) from exc
         if d == 1:
             infos.append(BlockIndexInfo(k, 1, ind, (ind,), (pos,)))
             explicit.append((pos, ind))
@@ -593,11 +607,6 @@ def factor_group_symbol(
     bd = block_diagonalize(gs, rs)
     factors = []
     for k, block in enumerate(bd.blocks):
-        try:
+        with _naming_the_block(f"block {k + 1}", k):
             factors.append(factor_block(block))
-        except NotInvertibleOnCircleError as exc:
-            raise IllPosedSymbolError(
-                f"block {k + 1} is not invertible on the circle: {exc}",
-                where=f"block {k + 1}",
-            ) from exc
     return assemble_full_factorization(bd, factors, fourier_matrix(rs))

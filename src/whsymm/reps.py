@@ -99,9 +99,10 @@ def _char_irreps(rows: np.ndarray) -> tuple[Irrep, ...]:
 
 
 def _cyclic_irreps(n: int) -> tuple[Irrep, ...]:
+    # exp(2 pi i (jk mod n) / n): powers of a rounded omega up to (n - 1)^2
+    # drift past the unitarity tolerance from n = 192 on
     j = np.arange(n)
-    omega = np.exp(2j * np.pi / n)
-    return _char_irreps(np.array([omega ** (j * k) for k in range(n)]))
+    return _char_irreps(np.exp(2j * np.pi * (np.outer(j, j) % n) / n))
 
 
 def _klein4_irreps() -> tuple[Irrep, ...]:

@@ -24,6 +24,7 @@ from .symbols import (
     CircleGrid,
     LaurentPoly,
     RationalSymbol,
+    confirmed_winding,
     eval_on_grid,
     inside_excess,
     outside_excess,
@@ -137,6 +138,11 @@ def verify_scalar(
             v = max(v, float(abs(plus.num.min_deg)))
     checks.append(Check("plus_analytic_inside", v, 0.0))
 
-    checks.append(_guarded("index", lambda: (float(abs(fac.index - winding_index(s))), "")))
+    def index_confirmed():
+        # from the target's own samples, not from the roots rho came from
+        confirmed_winding(s, fac.index, "the index")
+        return 0.0, ""
+
+    checks.append(_guarded("index", index_confirmed))
 
     return VerificationReport(tuple(checks), subject="scalar factorization")

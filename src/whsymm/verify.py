@@ -5,13 +5,18 @@ are scored as (residual, tolerance) pairs so a report can be rendered
 uniformly; structural checks (root locations, degree balance, index
 bookkeeping) use tolerance 0 with an integer-valued residual.
 
-Determinant samples come from ``GridEvaluator.slogdet``.  A factor that
-shows the shape C diag(s(t)) or diag(s(t)) C, with C constant and each
-s_j one scaled source (the stitched factors of an abelian or center
-symbol), is sampled as det(C) prod_j s_j(t), which is its determinant
-exactly; every other matrix, the target among them and every matrix
-parsed from a document, by LU of its dense samples.  So the index
-oracle on the target never takes the factors' product path.
+The index oracle counts the zeros of det A(t) in the disk without
+sampling whenever A is not of the factors' shape: each row is cleared of
+its denominators, and the zeros of the resulting polynomial matrix are
+the eigenvalues of a block companion, each accepted only with an
+inclusion disk clear of the circle.  Everything else is sampled, from
+``GridEvaluator.slogdet``: a factor that shows the shape C diag(s(t)) or
+diag(s(t)) C, with C constant and each s_j one scaled source (the
+stitched factors of an abelian or center symbol), as det(C) prod_j
+s_j(t), which is its determinant exactly; every other matrix (a factor
+parsed from a document, or a target the eigenvalues leave unresolved)
+by LU of its dense samples.  So the index oracle on the target never
+takes the factors' product path.
 """
 
 from __future__ import annotations
@@ -154,15 +159,144 @@ def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
     return winding, span[0], span[1]
 
 
+# The Moebius point a of s -> (s + a) / (1 + conj(a) s), which maps the
+# unit disk onto itself; any |a| < 1 off the real axis serves.
+_MOBIUS = 0.3 * np.exp(0.7j)
+# An eigenvalue lambda_k counts only when its inclusion disk, of radius
+# _EIG_DISK * eps * ||C||_F * kappa_k, lies clear of the unit circle.
+_EIG_DISK = 100.0
+# A leading coefficient at least this ill-conditioned counts as singular.
+_LEAD_COND = 1e12
+
+
+def _cleared_rows(m: RationalMatrix) -> tuple[np.ndarray, int] | None:
+    """(P, shift) with det m(t) = c t^L det P(t) / prod_i q_i(t) for a
+    constant c != 0, and shift = L - sum_i #zeros of q_i in the disk; P
+    is given by its coefficients P[k] of t^k.
+
+    Row i of P is t^-lo_i q_i(t) times row i of m, scaled to largest
+    coefficient modulus 1, where q_i is the product of the row's
+    distinct denominators (the same coefficients are one denominator,
+    as GridEvaluator takes them) and lo_i the row's lowest power of t,
+    so L = sum_i lo_i.  Each denominator's zeros in the disk are
+    counted by _disk_zero_count, like those of det P: a root split
+    would scatter a multiple zero near the circle across it.  None when
+    a row is zero, a denominator's count is not certified, or the
+    degree D of P is so high (D^3 >= _WINDING_FLOOR) that the eigenvalue
+    solve would cost more than the sampled oracle's LUs.
+    """
+    n = m.shape[0]
+    shift = 0
+    rows = []
+    inside: dict[bytes, int | None] = {}  # zeros in the disk per denominator
+    for row in m.rows:
+        live = [(j, e) for j, e in enumerate(row) if not e.is_zero]
+        if not live:
+            return None
+        dens = {}
+        for _, e in live:
+            dens.setdefault(e.den.coeffs.tobytes(), e.den.coeffs)
+        for key, den in dens.items():
+            if key not in inside:
+                inside[key] = _disk_zero_count(den[:, None, None])
+            if inside[key] is None:
+                return None
+            shift -= inside[key]
+        # each denominator's cofactor: the product of the row's others
+        cof = {}
+        for key in dens:
+            c = np.ones(1, dtype=complex)
+            for other, den in dens.items():
+                if other != key:
+                    c = np.convolve(c, den)
+            cof[key] = c
+        lo = min(e.num.min_deg for _, e in live)
+        shift += lo
+        rows.append(
+            [(j, e.num.min_deg - lo, np.convolve(e.num.coeffs, cof[e.den.coeffs.tobytes()])) for j, e in live]
+        )
+    deg = max(k + c.size - 1 for row in rows for _, k, c in row)
+    if deg**3 >= _WINDING_FLOOR:
+        return None
+    p = np.zeros((deg + 1, n, n), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, k, c in row:
+            p[k : k + c.size, i, j] = c
+        p[:, i] /= np.max(np.abs(p[:, i]))
+    return p, shift
+
+
+def _disk_zero_count(p: np.ndarray) -> int | None:
+    """Zeros of det P(t) in the open unit disk, P(t) = sum_k p[k] t^k,
+    counted as the eigenvalues in the disk of the block companion C of
+    the rotation Q(s) = (1 + conj(a) s)^D P((s + a) / (1 + conj(a) s)).
+
+    The rotation maps the disk onto itself and makes the leading
+    coefficient conj(a)^D P(1 / conj(a)), invertible unless det P
+    vanishes identically (or at 1 / conj(a)).  Eigenvalue lambda_k is
+    taken to lie within r_k = _EIG_DISK eps ||C||_F kappa_k of a zero,
+    kappa_k = ||V[:, k]|| ||V^-1[k, :]|| its condition number, which
+    covers the eps^(1/m) scatter of an m-fold zero as well.  None when
+    any disk meets the circle, the leading coefficient is singular to
+    working precision, or anything is not finite.
+    """
+    deg, n = p.shape[0] - 1, p.shape[1]
+    if not np.all(np.isfinite(p)):
+        return None
+    # rot[k, j]: the coefficient of s^k in (s + a)^j (1 + conj(a) s)^(D - j)
+    rot = np.zeros((deg + 1, deg + 1), dtype=complex)
+    for j in range(deg + 1):
+        c = np.ones(1, dtype=complex)
+        for _ in range(j):
+            c = np.convolve(c, [_MOBIUS, 1.0])
+        for _ in range(deg - j):
+            c = np.convolve(c, [1.0, np.conj(_MOBIUS)])
+        rot[:, j] = c
+    q = np.tensordot(rot, p, axes=1)
+    sv = np.linalg.svd(q[deg], compute_uv=False)
+    if not sv[-1] * _LEAD_COND > sv[0]:
+        return None
+    if deg == 0:
+        return 0
+    comp = np.zeros((n * deg, n * deg), dtype=complex)
+    comp[:n] = -np.linalg.solve(q[deg], np.concatenate(q[deg - 1 :: -1], axis=1))
+    comp[n:, :-n] = np.eye(n * (deg - 1))
+    if not np.all(np.isfinite(comp)):
+        return None
+    try:
+        lam, vec = np.linalg.eig(comp)
+        left = np.linalg.inv(vec)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        # eig returns unit eigenvectors, so kappa_k is the norm of row k of V^-1
+        radius = _EIG_DISK * np.finfo(float).eps * np.linalg.norm(comp) * np.linalg.norm(left, axis=1)
+        clear = np.abs(np.abs(lam) - 1.0) > radius
+    if not np.all(clear):
+        return None
+    return int(np.count_nonzero(np.abs(lam) < 1.0))
+
+
 def det_index_oracle(m: RationalMatrix, grid: CircleGrid | int = 512) -> int:
     """Winding index of det m(t) over the unit circle.
 
-    Works from numeric determinant samples only: no symbolic
-    determinant is formed, so this is an independent oracle for index
-    accounting.  ``grid`` sets the minimum sampling size; it is refined
-    automatically until the winding is resolved.
+    No symbolic determinant is formed, so this is an independent oracle
+    for index accounting.  A matrix without the factors' shape (a dense
+    GridEvaluator plan) is counted from eigenvalues: the winding is
+    L + #zeros of det P in the disk - sum_i #zeros of q_i in the disk,
+    with P, L and q_i as _cleared_rows forms them.  When that count is
+    not certified (_cleared_rows, _disk_zero_count), and for the factors'
+    shape, the winding comes from determinant samples (_det_winding);
+    ``grid`` sets their minimum number, refined automatically until the
+    winding is resolved.
     """
     n0 = grid if isinstance(grid, int) else grid.n
+    if GridEvaluator(m).product is None:
+        cleared = _cleared_rows(m)
+        if cleared is not None:
+            count = _disk_zero_count(cleared[0])
+            if count is not None:
+                return cleared[1] + count
     return _det_winding(m, n0)[0]
 
 

@@ -352,7 +352,7 @@ def test_criterion_4_index_accounting():
                 )
                 assert report.known_indices_sorted() == windings
             checked += 1
-    _conclude(4, "index accounting", t0, 60.0, f"{checked} draws, all ledgers exact")
+    _conclude(4, "index accounting", t0, 15.0, f"{checked} draws, all ledgers exact")
 
 
 def test_criterion_5_center_factorization():

@@ -253,6 +253,16 @@ class TestFactorizeMatrix:
         assert "invertible" in err
 
 
+    def test_undersampled_block_is_named(self):
+        # a(e) = t - 0.99999 and zeros elsewhere: every klein4 block has a
+        # zero 1e-5 inside the circle, too close for the sampling cap
+        sym = '{"e": {"num": {"min_deg": 0, "coeffs": [[-0.99999, 0], [1, 0]]}}}'
+        for mode, block in (("indices", "block 1 (scalar)"), ("factorize", "block 1")):
+            code, out, err = run([mode, "--group", '{"kind": "klein4"}', "--symbol", sym])
+            assert code == 3 and out == ""
+            assert err.startswith(f"error: {block} has no resolved winding: "), err
+
+
 class TestCenterFactorize:
     def test_s3_center(self):
         rng = np.random.default_rng(9090_03)

@@ -154,6 +154,17 @@ class TestFourierMatrices:
             assert f.matrix.shape == (g.order, g.order)
             assert np.max(np.abs(f.matrix @ f.matrix.conj().T - np.eye(g.order))) < TOL
 
+    @pytest.mark.parametrize("n", [192, 224, 256])
+    def test_large_cyclic_orders_are_unitary(self, n):
+        # characters exp(2 pi i (jk mod n) / n); powers of a rounded omega
+        # up to (n - 1)^2 left residuals of 1.5e-12 to 1.9e-12 from n = 192
+        g = build_group({"kind": "cyclic", "n": n})
+        rs = irreps_for(g)
+        report = validate_repset(g, rs)
+        assert report.passed, report.to_text()
+        f = fourier_matrix(rs)
+        assert np.max(np.abs(f.matrix @ f.matrix.conj().T - np.eye(n))) < TOL
+
     def test_row_blocks_partition_the_rows(self):
         for g, rs in catalog_repsets():
             f = fourier_matrix(rs)

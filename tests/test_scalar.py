@@ -195,6 +195,20 @@ class TestVerifyScalar:
         failed = {c.name for c in report.checks if not c.passed}
         assert "index" in failed and "reconstruction" in failed
 
+    def test_index_check_does_not_trust_winding_index(self, monkeypatch):
+        # the index check reads the target's own samples, so a
+        # winding_index that agrees with a wrong index does not pass it
+        from whsymm import scalar, symbols
+
+        s, fac = self.good()
+        bumped = type(fac)(minus=fac.minus, index=fac.index + 1, plus=fac.plus)
+        for module in (scalar, symbols):
+            monkeypatch.setattr(module, "winding_index", lambda _s: bumped.index)
+        index = next(c for c in verify_scalar(s, bumped).checks if c.name == "index")
+        assert not index.passed and "disagrees with the index" in index.detail
+        index = next(c for c in verify_scalar(s, fac).checks if c.name == "index")
+        assert index.passed
+
     def test_catches_denormalized_minus(self):
         s, fac = self.good()
         off = type(fac)(minus=fac.minus.scale(2.0), index=fac.index, plus=fac.plus)

@@ -1,14 +1,16 @@
-"""The factorization verifier and the sampled determinant-winding oracle.
+"""The factorization verifier and the determinant-winding oracle: the
+eigenvalue count and the sampled winding it falls back to.
 
 The winding oracle is probed with matrices whose determinant zeros are
-planted by construction, including the adversarial configurations a
-sampled method can get wrong: high-multiplicity clusters just off the
-circle.  For clusters the oracle cannot resolve below its grid cap the
-required behavior is an exception, never a silently wrong integer.
+planted by construction, including the adversarial configurations both
+methods can get wrong: high-multiplicity clusters just off the circle.
+For clusters the oracle cannot resolve the required behavior is an
+exception, never a silently wrong integer.
 Verifier checks are exercised with deliberate mutations of a correct
 factorization, one designated failing check per mutation.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,11 +27,13 @@ from whsymm import (
     UndersampledError,
     VerificationReport,
     assemble_matrix,
+    block_diagonalize,
     build_group,
     center_factorize,
     det_index_oracle,
     factor_group_symbol,
     factor_triangular_2x2,
+    partial_indices,
     unitarity_check,
     verify_matrix_factorization,
 )
@@ -191,10 +195,71 @@ class TestDetIndexOracle:
                 with pytest.raises(DECLINE):
                     det_index_oracle(planted_det_matrix(roots, shape=shape))
 
+    def test_cluster_sweep_is_right_or_declined(self):
+        # m-fold zeros at distance d on either side of the circle.  The
+        # eigenvalue count answers or declines on every shape, and is
+        # right whenever it answers; det_index_oracle, which takes it for
+        # the dense shape and falls back to samples, is right or declines
+        distances = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.03, 0.1, 0.3)
+        answered = set()
+        for m in range(1, 15):
+            for d in distances:
+                for side in (-1, 1):
+                    want = m if side < 0 else 0
+                    for k in range(6):
+                        r = (1.0 + side * d) * np.exp(1j * (0.3 + 2.0 * np.pi * k / 6))
+                        for shape in SHAPES:
+                            p, shift = verify._cleared_rows(planted_det_matrix([r] * m, shape=shape))
+                            count = verify._disk_zero_count(p)
+                            if count is not None:
+                                assert shift + count == want, (m, d, side, k, shape)
+                                answered.add((m, d))
+                        try:
+                            got = det_index_oracle(planted_det_matrix([r] * m))
+                        except DECLINE:
+                            continue
+                        assert got == want, (m, d, side, k)
+        # not vacuous: every simple zero, and every double one from 1e-4 on
+        assert {(1, d) for d in distances} <= answered
+        assert {(2, d) for d in distances if d >= 1e-4} <= answered
+
     def test_zero_on_circle_rejected(self):
         for shape in SHAPES:
             with pytest.raises(NotInvertibleOnCircleError):
                 det_index_oracle(planted_det_matrix([1.0j], shape=shape))
+
+    def test_pole_clusters_are_right_or_declined(self):
+        # [[1/(t - r)^m, 1], [1, 2]]: det = (2 - (t - r)^m) / (t - r)^m,
+        # whose zeros lie away from the circle while its m-fold pole
+        # comes within d of it; the root finder scatters that pole across
+        # the circle, so the poles must be counted with certified disks
+        one, two = RationalSymbol.const(1.0), RationalSymbol.const(2.0)
+        for m in range(1, 7):
+            for d in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+                for side in (-1, 1):
+                    for k in range(6):
+                        r = (1.0 + side * d) * np.exp(1j * (0.3 + 2.0 * np.pi * k / 6))
+                        zeros = np.roots(np.polysub([2.0], np.poly([r] * m)))
+                        want = int(np.sum(np.abs(zeros) < 1.0)) - (m if side < 0 else 0)
+                        pole = RationalSymbol(LaurentPoly.const(1.0), LaurentPoly.from_roots([r] * m))
+                        try:
+                            got = det_index_oracle(RationalMatrix([[pole, one], [one, two]]))
+                        except DECLINE + (PoleOnGridError,):
+                            continue
+                        assert got == want, (m, d, side, k)
+
+    def test_singular_dense_matrix_declines(self):
+        # det m(t) vanishes identically, with no scaled sources: the
+        # eigenvalue count finds a singular leading coefficient and the
+        # sampled oracle declines
+        s = [RationalSymbol.from_poly(LaurentPoly.from_roots([r])) for r in (0.5, 2.0, 0.3j)]
+        c = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        for m in (RationalMatrix.diag(s).const_mul_left(c), RationalMatrix.diag(s).const_mul_right(c)):
+            m = unscaled(m)
+            assert GridEvaluator(m).product is None
+            assert verify._disk_zero_count(verify._cleared_rows(m)[0]) is None
+            with pytest.raises(NotInvertibleOnCircleError, match="det nearly vanishes on the circle"):
+                det_index_oracle(m)
 
     def test_accepts_grid_or_int(self):
         m = planted_det_matrix([0.5])
@@ -473,9 +538,9 @@ class TestVerifyMatrixFactorization:
             dens = {e.den.coeffs.tobytes() for row in m.rows for e in row}
             assert GridEvaluator(m).horner.shape[1] == 32 + 1 + len(dens)
 
-    def test_only_the_target_is_factored_by_lu(self, monkeypatch):
-        # the stitched factors take det(C) prod s_j; LU of n x n samples
-        # runs exactly as often as the target's oracle alone needs it
+    def test_verifying_runs_no_dense_lu(self, monkeypatch):
+        # the stitched factors take det(C) prod s_j and the target's index
+        # comes from eigenvalues, so no n x n sample is LU-factored
         target, fac = order16_case()
         dense = np.linalg.slogdet
         calls = []
@@ -486,12 +551,34 @@ class TestVerifyMatrixFactorization:
             return dense(a)
 
         monkeypatch.setattr(np.linalg, "slogdet", counting)
-        det_index_oracle(target)
-        alone = len(calls)
-        assert alone > 0 and set(calls) == {(16, 16)}
-        calls.clear()
+        assert GridEvaluator(target).product is None
+        assert det_index_oracle(target) == sum(fac.d)
         assert verify_matrix_factorization(target, fac).passed
-        assert len(calls) == alone
+        assert calls == []
+        # the sampled oracle, which the eigenvalue count falls back to,
+        # still sees the same winding
+        assert verify._det_winding(target, 512)[0] == sum(fac.d)
+        assert set(calls) == {(16, 16)}
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_det_range_beyond_1e13_passes_index_sum(self, n):
+        # |det| of this target varies by more than 1e13 over the circle,
+        # which sampled determinants read as "det nearly vanishes", yet
+        # every zero lies 0.5 from the circle
+        target, fac = cyclic_case(n, 1)
+        assert GridEvaluator(target).product is None
+        report = verify_matrix_factorization(target, fac)
+        assert report.passed, report.to_text()
+
+    def test_index_accounting_at_the_size_cap(self):
+        # cyclic(256), the largest admitted order: its Fourier matrix
+        # validates, and the reduction's total index agrees with the
+        # oracle on the 256 x 256 target, all within 10 s
+        gs = dominant_cyclic_symbol(256, 1)
+        t0 = time.perf_counter()
+        total = partial_indices(block_diagonalize(gs)).total_index
+        assert total == det_index_oracle(assemble_matrix(gs))
+        assert time.perf_counter() - t0 < 10.0
 
     def test_parsed_factorization_gets_the_same_report(self):
         # a parsed document has no scaled entries, so every entry is
