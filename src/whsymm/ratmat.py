@@ -22,9 +22,19 @@ Zero = RationalSymbol.zero()
 
 
 class RationalMatrix:
-    """Rectangular matrix of RationalSymbol entries."""
+    """Rectangular matrix of RationalSymbol entries.
 
-    __slots__ = ("rows", "shape")
+    ``pieces`` records how a square matrix was built, when it was built
+    from square pieces whose determinants multiply to its own: the
+    constant C and the matrix of ``const_mul_left`` and
+    ``const_mul_right``, the blocks of ``block_diag`` and the entries of
+    ``diag``, each piece once per occurrence.  A piece is a constant
+    array, a RationalMatrix or a RationalSymbol (a 1 x 1 piece).  It is
+    None for a matrix given by its rows, and ``RationalMatrix(m.rows)``
+    is a copy of m without it.
+    """
+
+    __slots__ = ("rows", "shape", "pieces")
 
     def __init__(self, rows) -> None:
         rows = [list(r) for r in rows]
@@ -39,6 +49,7 @@ class RationalMatrix:
                     raise TypeError(f"entries must be RationalSymbol, got {type(e).__name__}")
         self.rows = rows
         self.shape = (len(rows), width)
+        self.pieces = None
 
     def __getitem__(self, ij):
         i, j = ij
@@ -53,9 +64,11 @@ class RationalMatrix:
         """Square matrix with the given diagonal and Zero elsewhere."""
         entries = list(entries)
         n = len(entries)
-        return RationalMatrix(
+        out = RationalMatrix(
             [[e if i == j else Zero for j in range(n)] for i, e in enumerate(entries)]
         )
+        out.pieces = tuple(entries)
+        return out
 
     @staticmethod
     def from_const(mat) -> "RationalMatrix":
@@ -74,7 +87,7 @@ class RationalMatrix:
                 for j in range(b.shape[1]):
                     rows[off + i][off + j] = b.rows[i][j]
             off += b.shape[0]
-        return RationalMatrix(rows)
+        return RationalMatrix(rows)._built_from(*blocks)
 
     def transpose(self) -> "RationalMatrix":
         r, c = self.shape
@@ -104,7 +117,7 @@ class RationalMatrix:
         cols = _nonzero_lines(zip(*self.rows))
         return RationalMatrix(
             [[_scaled_sum(col, row) for col in cols] for row in m.tolist()]
-        )
+        )._built_from(m, self)
 
     def const_mul_right(self, mat) -> "RationalMatrix":
         """Product self @ C with a constant complex matrix C."""
@@ -114,7 +127,13 @@ class RationalMatrix:
         cols = m.T.tolist()
         return RationalMatrix(
             [[_scaled_sum(row, col) for col in cols] for row in _nonzero_lines(self.rows)]
-        )
+        )._built_from(self, m)
+
+    def _built_from(self, *pieces) -> "RationalMatrix":
+        """self with ``pieces`` recorded when all of them are square."""
+        if all(p.shape[0] == p.shape[1] for p in pieces):
+            self.pieces = pieces
+        return self
 
     def eval_grid(self, grid: CircleGrid | np.ndarray) -> np.ndarray:
         """Evaluate entrywise; returns an array of shape (N, rows, cols)."""
@@ -186,20 +205,12 @@ class GridEvaluator:
     its factor (the stitched factors of an abelian group have n sources
     for n^2 entries); every other entry is its own source, evaluated with
     the arithmetic of ``eval_on_grid``.  Built once per matrix, it can
-    then be applied to any number of point arrays.
-
-    The plan also shows whether a square matrix is C diag(s(t)), every
-    column's nonzero entries being scaled copies of one source s_j, or
-    diag(s(t)) C, the same for every row, with C the constant matrix of
-    scale factors.  The stitched factors F* diag(lambda) and
-    diag(lambda) F of an abelian or center symbol have that shape; a
-    target's columns hold n distinct sources and a parsed matrix has no
-    scaled entries, so theirs is dense.  For the two shapes ``slogdet``
-    uses det(C) prod_j s_j(t), which is the determinant itself, not an
-    approximation: det(C) is factored once and each point costs O(n).
+    then be applied to any number of point arrays.  It reads the entries
+    alone; a determinant is taken from the matrix's record of how it was
+    built (``pieces``), by the verifier.
     """
 
-    __slots__ = ("shape", "where", "factor", "horner", "runs", "den_floor", "product")
+    __slots__ = ("shape", "where", "factor", "horner", "runs", "den_floor")
 
     def __init__(self, m: RationalMatrix) -> None:
         based = [None if e.is_zero else e._base or (e, 1.0) for row in m.rows for e in row]
@@ -227,9 +238,6 @@ class GridEvaluator:
         factor = np.array([1.0 if b is None else b[1] for b in based], dtype=complex)
         # with every factor 1 the gather alone is the result, bit for bit
         self.factor = None if np.all(factor == 1.0) else factor
-        self.product = _product_plan(
-            self.where.reshape(m.shape), factor.reshape(m.shape), zero
-        )
         self.runs: list[tuple[int, int, int, int]] = []  # (power, den column, lo, hi)
         lo = 0
         for (d, k), run in itertools.groupby(entries, key=group):
@@ -249,17 +257,15 @@ class GridEvaluator:
 
     @property
     def bytes_per_point(self) -> int:
-        """Bytes held per evaluation point while a call or ``slogdet``
-        runs: the Horner table over the plan's columns, the pole test,
-        and the larger of the output buffer, which the factors scale in
-        place, and the product path's n source values with their moduli
-        and logarithms."""
-        values = max(self.where.size, 2 * self.shape[0])
-        return 16 * (values + self.horner.shape[1] + self.den_floor.size + 2)
+        """Bytes held per evaluation point while a call runs: the Horner
+        table over the plan's columns, the pole test, and the output
+        buffer, which the factors scale in place."""
+        return 16 * (self.where.size + self.horner.shape[1] + self.den_floor.size + 2)
 
-    def _columns(self, pts: np.ndarray) -> np.ndarray:
-        """Values of every plan column at pts, one row per column, so
-        every operation runs along the points."""
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=complex).reshape(-1)
+        # every plan column's values, one row per column, so every
+        # operation runs along the points
         acc = np.empty((self.horner.shape[1], pts.size), dtype=complex)
         acc[:] = self.horner[0][:, None]
         for row in self.horner[1:]:
@@ -273,57 +279,7 @@ class GridEvaluator:
             if k != 0:
                 acc[lo:hi] *= pts**k
             acc[lo:hi] /= acc[d]
-        return acc
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=complex).reshape(-1)
-        out = self._columns(pts).T[:, self.where]
+        out = acc.T[:, self.where]
         if self.factor is not None:
             out *= self.factor
         return out.reshape(pts.size, *self.shape)
-
-    def slogdet(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sign, log|det|) of the matrix at each point, as
-        ``np.linalg.slogdet`` of the samples gives them: from det(C) and
-        the n source values for C diag(s) and diag(s) C, by LU of the
-        gathered samples for every other matrix."""
-        pts = np.asarray(pts, dtype=complex).reshape(-1)
-        if self.product is None:
-            return tuple(np.linalg.slogdet(self(pts)))
-        src, c_sign, c_logabs = self.product
-        s = self._columns(pts)[src]
-        mod = np.abs(s)
-        with np.errstate(divide="ignore"):
-            logabs = c_logabs + np.log(mod).sum(axis=0)
-        # a zero sample keeps phase 0, as np.linalg.slogdet gives it
-        np.divide(s, mod, out=s, where=mod > 0)
-        return c_sign * s.prod(axis=0), logabs
-
-
-def _product_plan(where: np.ndarray, factor: np.ndarray, zero: int):
-    """(source row per line, det(C) sign, log|det(C)|) when the square
-    matrix of source slots ``where`` is C diag(s), each column's nonzero
-    entries on one source, or diag(s) C, the same for each row; None
-    otherwise.  C holds the entries' factors and 0 where ``where`` is
-    the zero slot; an all-zero line gets the zero slot as its source.
-
-    A det(C) below 1e-13 of Hadamard's bound (the smaller of the
-    products of C's row and column norms) is LU roundoff on a singular
-    C, so it is taken as 0: LU of the dense samples would show that
-    roundoff as noise, and the determinant oracle declines either way.
-    """
-    n, cols = where.shape
-    if n != cols:
-        return None
-    for lines in (where.T, where):
-        first = lines[np.arange(n), np.argmax(lines != zero, axis=1)]
-        if np.all((lines == first[:, None]) | (lines == zero)):
-            c = np.where(where == zero, 0.0, factor)
-            sign, logabs = np.linalg.slogdet(c)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bound = min(np.sum(np.log(np.linalg.norm(c, axis=a))) for a in (0, 1))
-                singular = not logabs - bound > np.log(1e-13)
-            if singular:
-                sign, logabs = 0.0, -np.inf
-            return first, complex(sign), float(logabs)
-    return None

@@ -13,6 +13,7 @@ imaginary, so their entries are exact up to one floating literal.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,12 +230,22 @@ def _product_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:
     return tuple(out)
 
 
-def irreps_for(group: FiniteGroup) -> RepSet:
-    """The frozen representation set of a catalog group.
+# (Cayley table, validated irreps) of each catalog group, by its spec
+_CATALOG_IRREPS: dict[str, tuple[np.ndarray, tuple[Irrep, ...]]] = {}
 
-    Custom groups have no canonical set; supply one explicitly and run
+
+def irreps_for(group: FiniteGroup) -> RepSet:
+    """The frozen representation set of a catalog group, bound to it.
+
+    The set is built and validated once per group spec and Cayley
+    table, and then shared: its matrices are read-only.  Custom groups
+    have no canonical set; supply one explicitly and run
     validate_repset on it instead.
     """
+    key = json.dumps(group.spec, sort_keys=True)
+    cached = _CATALOG_IRREPS.get(key)
+    if cached is not None and np.array_equal(cached[0], group.cayley):
+        return RepSet(group, cached[1])
     kind = group.spec.get("kind")
     if kind == "cyclic":
         irreps = _cyclic_irreps(group.order)
@@ -259,6 +270,9 @@ def irreps_for(group: FiniteGroup) -> RepSet:
             f"catalog representation set for {group.name} failed validation:\n"
             + report.to_text()
         )
+    for r in irreps:
+        r.matrices.flags.writeable = False
+    _CATALOG_IRREPS[key] = (group.cayley, irreps)
     return rs
 
 

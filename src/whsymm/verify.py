@@ -5,18 +5,21 @@ are scored as (residual, tolerance) pairs so a report can be rendered
 uniformly; structural checks (root locations, degree balance, index
 bookkeeping) use tolerance 0 with an integer-valued residual.
 
-The index oracle counts the zeros of det A(t) in the disk without
-sampling whenever A is not of the factors' shape: each row is cleared of
-its denominators, and the zeros of the resulting polynomial matrix are
-the eigenvalues of a block companion, each accepted only with an
-inclusion disk clear of the circle.  Everything else is sampled, from
-``GridEvaluator.slogdet``: a factor that shows the shape C diag(s(t)) or
-diag(s(t)) C, with C constant and each s_j one scaled source (the
-stitched factors of an abelian or center symbol), as det(C) prod_j
-s_j(t), which is its determinant exactly; every other matrix (a factor
-parsed from a document, or a target the eigenvalues leave unresolved)
-by LU of its dense samples.  So the index oracle on the target never
-takes the factors' product path.
+The determinant oracle (det_index_oracle) forms no determinant.  It
+reads a matrix's record of how it was built (``RationalMatrix.pieces``)
+down to constant matrices and leaves, so that det A(t) = c prod_k
+det L_k(t)^(m_k).  The stitched factors F* diag(lambda) and
+diag(lambda) F of a group or center symbol come apart into F, judged
+singular or not once by Hadamard's bound, and the blocks lambda_k, each
+counted once with its multiplicity d_k.  A matrix with no record, the
+target and every parsed factor among them, is its own single leaf.  Each
+leaf's zeros in the disk are counted from eigenvalues: its rows are
+cleared of their denominators, and the zeros of the resulting
+polynomial matrix are the eigenvalues of a block companion, each
+accepted only with an inclusion disk clear of the circle.  A leaf the
+eigenvalues leave unresolved is counted from LU samples of its
+determinant instead (_det_winding).  So the index oracle on the target
+never reads a Fourier construction.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def point_chunks(pts: np.ndarray, bytes_per_point: int):
     return (pts[a : a + step] for a in range(0, pts.size, step))
 
 
-def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
+def _det_winding(m: RationalMatrix, n0: int) -> int:
     """Winding of det m(t) around 0 from a dense circle sampling.
 
     The winding is certified_winding's, from N = max(n0, _WINDING_FLOOR),
@@ -127,25 +130,17 @@ def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
     over- or underflows, and the grid is evaluated and factored in
     chunks of at most _CHUNK_BYTES working memory; only the (N,)
     samples are held whole, and every test runs on all of them.
-    Each chunk's samples are GridEvaluator.slogdet's: det(C) prod_j
-    s_j(t) when m is C diag(s) or diag(s) C, an identity that holds
-    pointwise, and LU of the dense samples otherwise.
-
-    Returns (winding, min log|det|, max log|det|) over the accepted grid.
     """
     ev = GridEvaluator(m)
-    span = []
 
     def ratios(n: int) -> np.ndarray:
         pts = CircleGrid(n).points
-        chunks = [ev.slogdet(p) for p in point_chunks(pts, ev.bytes_per_point)]
+        chunks = [np.linalg.slogdet(ev(p)) for p in point_chunks(pts, ev.bytes_per_point)]
         sign = np.concatenate([c[0] for c in chunks])
         logabs = np.concatenate([c[1] for c in chunks])
         top = float(np.max(logabs))
-        bottom = float(np.min(logabs))
-        if top == -np.inf or bottom - top <= np.log(1e-13):
+        if top == -np.inf or float(np.min(logabs)) - top <= np.log(1e-13):
             raise NotInvertibleOnCircleError("det nearly vanishes on the circle")
-        span[:] = bottom, top
         # det at each sample's next neighbour relative to det at the sample
         with np.errstate(over="ignore", invalid="ignore"):
             return np.roll(sign, -1) / sign * np.exp(np.roll(logabs, -1) - logabs)
@@ -156,7 +151,59 @@ def _det_winding(m: RationalMatrix, n0: int) -> tuple[int, float, float]:
             f"det winding did not resolve by N={n} ({turns:.4f} turns); "
             "its zeros come too close to the unit circle"
         )
-    return winding, span[0], span[1]
+    return winding
+
+
+def _constant_log_abs(c: np.ndarray) -> float:
+    """log|det C| of a constant matrix.  A det(C) below 1e-13 of
+    Hadamard's bound (the smaller of the products of C's row and column
+    norms) is LU roundoff on a singular C, so the determinant oracle
+    declines it."""
+    _, logabs = np.linalg.slogdet(c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = min(np.sum(np.log(np.linalg.norm(c, axis=a))) for a in (0, 1))
+        if not logabs - bound > np.log(1e-13):
+            raise NotInvertibleOnCircleError("det nearly vanishes on the circle")
+    return float(logabs)
+
+
+def _det_parts(m: RationalMatrix) -> tuple[float, list[tuple[RationalMatrix, int]]]:
+    """(log|c|, leaves) with det m(t) = c prod_(leaf, k) det leaf(t)^k.
+
+    The pieces m records are followed down to matrices without a record
+    (m itself when it has none) and to the entries of ``diag``, 1 x 1
+    leaves; a piece met k times counts k times, as ``BlockDiagonal``
+    repeats block k d_k times.  Each constant piece is judged by
+    _constant_log_abs."""
+    counts: dict[int, list] = {}
+    stack = [m]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, RationalMatrix) and piece.pieces is not None:
+            stack.extend(piece.pieces)
+        else:
+            counts.setdefault(id(piece), [piece, 0])[1] += 1
+    log_c, leaves = 0.0, []
+    for piece, k in counts.values():
+        if isinstance(piece, np.ndarray):
+            log_c += k * _constant_log_abs(piece)
+        else:
+            leaves.append((piece if isinstance(piece, RationalMatrix) else RationalMatrix([[piece]]), k))
+    return log_c, leaves
+
+
+def _det_log_abs(m: RationalMatrix, pts: np.ndarray) -> np.ndarray:
+    """log|det m(t)| at each of pts, from the parts _det_parts finds,
+    each leaf sampled in chunks of at most _CHUNK_BYTES working memory;
+    a 1 x 1 leaf is read off its values, with no LU."""
+    log_c, leaves = _det_parts(m)
+    out = np.full(pts.size, log_c)
+    for leaf, k in leaves:
+        ev = GridEvaluator(leaf)
+        chunks = (ev(p) for p in point_chunks(pts, ev.bytes_per_point))
+        logs = [np.log(np.abs(v[:, 0, 0])) if v.shape[1] == 1 else np.linalg.slogdet(v)[1] for v in chunks]
+        out += k * np.concatenate(logs)
+    return out
 
 
 # The Moebius point a of s -> (s + a) / (1 + conj(a) s), which maps the
@@ -281,23 +328,27 @@ def det_index_oracle(m: RationalMatrix, grid: CircleGrid | int = 512) -> int:
     """Winding index of det m(t) over the unit circle.
 
     No symbolic determinant is formed, so this is an independent oracle
-    for index accounting.  A matrix without the factors' shape (a dense
-    GridEvaluator plan) is counted from eigenvalues: the winding is
-    L + #zeros of det P in the disk - sum_i #zeros of q_i in the disk,
-    with P, L and q_i as _cleared_rows forms them.  When that count is
-    not certified (_cleared_rows, _disk_zero_count), and for the factors'
-    shape, the winding comes from determinant samples (_det_winding);
+    for index accounting.  The winding is the sum over the leaves of
+    _det_parts, each counted with its multiplicity; a matrix without a
+    record is its own single leaf.  A leaf is counted from eigenvalues:
+    its winding is L + #zeros of det P in the disk - sum_i #zeros of q_i
+    in the disk, with P, L and q_i as _cleared_rows forms them.  When
+    that count is not certified (_cleared_rows, _disk_zero_count), the
+    leaf's winding comes from determinant samples (_det_winding);
     ``grid`` sets their minimum number, refined automatically until the
     winding is resolved.
     """
     n0 = grid if isinstance(grid, int) else grid.n
-    if GridEvaluator(m).product is None:
-        cleared = _cleared_rows(m)
-        if cleared is not None:
-            count = _disk_zero_count(cleared[0])
-            if count is not None:
-                return cleared[1] + count
-    return _det_winding(m, n0)[0]
+    return sum(k * _leaf_winding(leaf, n0) for leaf, k in _det_parts(m)[1])
+
+
+def _leaf_winding(m: RationalMatrix, n0: int) -> int:
+    cleared = _cleared_rows(m)
+    if cleared is not None:
+        count = _disk_zero_count(cleared[0])
+        if count is not None:
+            return cleared[1] + count
+    return _det_winding(m, n0)
 
 
 def _minus_entry_violation(sym: RationalSymbol) -> float:
@@ -326,13 +377,17 @@ def _factor_invertibility(m: RationalMatrix, grid_n: int, name: str) -> Check:
 
     Once the entrywise checks establish analyticity on that half, the
     argument principle reduces "no zeros of the determinant there" to
-    two sampled facts: the determinant does not vanish on the circle
-    and its winding around 0 is zero.  Forming the determinant from
-    grid samples sidesteps the symbolic blow-up of cofactor expansion.
+    two facts: the determinant does not vanish on the circle and its
+    winding around 0 is zero.  Both come from det_index_oracle, which
+    counts a stitched factor F* diag(lambda) or diag(lambda) F from its
+    recorded pieces: det F judged once, and each block's determinant
+    counted once however often it repeats.  The detail gives the range
+    of |det| over the verifier's grid_n-point grid, from the same parts.
     """
     def measure():
-        idx, bottom, top = _det_winding(m, grid_n)
-        return float(abs(idx)), f"|det| within [{_exp_3g(bottom)}, {_exp_3g(top)}] on the circle"
+        idx = det_index_oracle(m, grid_n)
+        logabs = _det_log_abs(m, CircleGrid(grid_n).points)
+        return float(abs(idx)), f"|det| within [{_exp_3g(logabs.min())}, {_exp_3g(logabs.max())}] on the circle"
 
     return _guarded(name, measure)
 

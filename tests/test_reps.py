@@ -24,6 +24,7 @@ from whsymm import (
     irreps_for,
     validate_repset,
 )
+from whsymm import reps
 
 TOL = 1e-12
 
@@ -75,6 +76,29 @@ class TestIrrepLaws:
         assert degrees["a4"] == (1, 1, 1, 3)
         assert degrees["klein4"] == (1, 1, 1, 1)
         assert degrees["product(cyclic(2),cyclic(3))"] == (1, 1, 1, 1, 1, 1)
+
+    def test_catalog_sets_are_built_once(self, monkeypatch):
+        # a second call, on a group built again from the same spec, takes
+        # the validated set as it is, bound to that group; a fresh build
+        # gives the same matrices, which no caller can write to
+        specs = CATALOG + [{"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "s3"}]}]
+        for spec in specs:
+            irreps_for(build_group(spec))
+        calls = []
+        validate = reps.validate_repset
+        monkeypatch.setattr(reps, "validate_repset", lambda g, rs: calls.append(g) or validate(g, rs))
+        groups = [build_group(spec) for spec in specs]
+        again = [irreps_for(g) for g in groups]
+        assert calls == []
+        assert all(rs.group is g for rs, g in zip(again, groups))
+        monkeypatch.setattr(reps, "_CATALOG_IRREPS", {})
+        fresh = [irreps_for(g) for g in groups]
+        assert calls == groups
+        for a, b in zip(again, fresh):
+            assert a.degrees == b.degrees
+            for x, y in zip(a.irreps, b.irreps):
+                assert np.array_equal(x.matrices, y.matrices)
+                assert not x.matrices.flags.writeable and not y.matrices.flags.writeable
 
     def test_unsupported_group_has_no_repset(self):
         g = build_group({"kind": "custom", "cayley": [[0, 1], [1, 0]]})

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from whsymm import (
+    BlockDiagonal,
     Check,
     CircleGrid,
     LaurentPoly,
@@ -26,22 +27,26 @@ from whsymm import (
     RationalSymbol,
     UndersampledError,
     VerificationReport,
+    assemble_center_matrix,
     assemble_matrix,
     block_diagonalize,
     build_group,
     center_factorize,
     det_index_oracle,
+    factor_block,
     factor_group_symbol,
     factor_triangular_2x2,
+    fourier_matrix,
+    irreps_for,
     partial_indices,
     unitarity_check,
     verify_matrix_factorization,
 )
 from whsymm import verify
-from whsymm.blocks import MatrixFactorization
+from whsymm.blocks import MatrixFactorization, assemble_full_factorization
 from whsymm.documents import parse_factorization, serialize_factorization
 
-from conftest import diag_power_eval, dominant_cyclic_symbol, random_center_symbol
+from conftest import diag_power_eval, dominant_cyclic_symbol, random_center_symbol, random_symbol
 from whsymm.ratmat import GridEvaluator
 
 DECLINE = (UndersampledError, NotInvertibleOnCircleError)
@@ -49,15 +54,17 @@ DECLINE = (UndersampledError, NotInvertibleOnCircleError)
 # fixed unitary so planted determinants live in dense 2x2 matrices
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
-# H D H^T has entries that are sums, so its determinant is LU of the
-# dense samples; H D is C diag(s) and D H^T is diag(s) C, whose
-# determinants GridEvaluator.slogdet takes as det(C) prod s_j
+# "dense" is H D H^T without its record, one leaf counted from the
+# eigenvalues of the whole matrix or from its LU samples; H D and D H^T
+# keep their records, so det H is judged once and each entry of D is a
+# 1 x 1 leaf of its own
 SHAPES = ("dense", "columns", "rows")
 
 
 def shaped(diag, shape):
     """diag(entries) as H D H^T, H D or D H^T with H a normalized
-    Hadamard matrix of the same order (a power of two)."""
+    Hadamard matrix of the same order (a power of two); the dense shape
+    is a copy without the record of how it was built."""
     h = np.ones((1, 1))
     while h.shape[0] < len(diag):
         h = np.block([[h, h], [h, -h]]) / np.sqrt(2.0)
@@ -66,8 +73,8 @@ def shaped(diag, shape):
         m = m.const_mul_left(h)
     if shape != "columns":
         m = m.const_mul_right(h.T)
-    assert shape == "dense" or GridEvaluator(m).product is not None
-    return m
+    assert m.pieces is not None
+    return RationalMatrix(m.rows) if shape == "dense" else m
 
 
 def planted_det_matrix(roots, extra=None, shape="dense"):
@@ -256,7 +263,7 @@ class TestDetIndexOracle:
         c = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
         for m in (RationalMatrix.diag(s).const_mul_left(c), RationalMatrix.diag(s).const_mul_right(c)):
             m = unscaled(m)
-            assert GridEvaluator(m).product is None
+            assert m.pieces is None
             assert verify._disk_zero_count(verify._cleared_rows(m)[0]) is None
             with pytest.raises(NotInvertibleOnCircleError, match="det nearly vanishes on the circle"):
                 det_index_oracle(m)
@@ -274,9 +281,7 @@ class TestDetIndexOracle:
             e = RationalSymbol.from_poly(LaurentPoly.from_roots([0.5], c))
             m = RationalMatrix([[e if i == j else z for j in range(4)] for i in range(4)])
             assert det_index_oracle(m) == 4
-            # four distinct zeros, so that H D H^T stays dense
             diag = [RationalSymbol.from_poly(LaurentPoly.from_roots([0.5 * 1j**k], c)) for k in range(4)]
-            assert GridEvaluator(shaped(diag, "dense")).product is None
             for shape in SHAPES:
                 assert det_index_oracle(shaped(diag, shape)) == 4
 
@@ -300,19 +305,20 @@ class TestDetIndexOracle:
                 det_index_oracle(m)
 
     def test_product_samples_match_dense_lu(self):
-        # stitched abelian and center factors: det(C) prod s_j against
-        # np.linalg.slogdet of the gathered samples, on and off the circle
-        _, fac = order16_case()
-        cs = random_center_symbol(build_group({"kind": "q8"}), np.random.default_rng(0))
-        center = center_factorize(cs).factorization
+        # every kind of stitched factor against its copy without a
+        # record: the same winding, the log|det| summed over its parts
+        # against np.linalg.slogdet of the entries' samples, on and off
+        # the circle, and the same |det| detail
         pts = np.concatenate([CircleGrid(1024).points, 1.3 * CircleGrid(64).points])
-        for m in (fac.minus, fac.plus, center.minus, center.plus):
-            ev = GridEvaluator(m)
-            assert ev.product is not None
-            sign, logabs = ev.slogdet(pts)
-            want = np.linalg.slogdet(m.eval_grid(pts))
-            assert np.max(np.abs(logabs - want.logabsdet)) <= 1e-12
-            assert np.max(np.abs(sign - want.sign)) <= 1e-12
+        for label, _, fac in stitched_cases():
+            for m in (fac.minus, fac.plus):
+                plain = RationalMatrix(m.rows)
+                assert m.pieces is not None and plain.pieces is None
+                assert det_index_oracle(m) == det_index_oracle(plain), label
+                want = np.linalg.slogdet(m.eval_grid(pts)).logabsdet
+                assert np.max(np.abs(verify._det_log_abs(m, pts) - want)) <= 1e-12, label
+                got = verify._factor_invertibility(m, 512, "det")
+                assert got == verify._factor_invertibility(plain, 512, "det"), label
 
     def test_column_scaled_matches_dense_path(self):
         # C diag(s) with a unitary C and with cond(C) about 1e9: the
@@ -328,8 +334,8 @@ class TestDetIndexOracle:
         assert 1e8 < np.linalg.cond(ill) < 1e10
         for c in (dft, ill):
             m = RationalMatrix.diag(s).const_mul_left(c)
-            assert GridEvaluator(m).product is not None
-            assert GridEvaluator(unscaled(m)).product is None
+            assert m.pieces is not None
+            assert unscaled(m).pieces is None
             got = verify._factor_invertibility(m, 512, "det")
             want = verify._factor_invertibility(unscaled(m), 512, "det")
             assert det_index_oracle(m) == det_index_oracle(unscaled(m)) == 4
@@ -345,9 +351,53 @@ class TestDetIndexOracle:
         mats += [RationalMatrix.diag(s).const_mul_right(c) for c in cs]
         mats.append(RationalMatrix.diag([s[0], RationalSymbol.zero(), s[2]]).const_mul_left(np.ones((3, 3))))
         for m in mats:
-            assert GridEvaluator(m).product is not None
+            assert m.pieces is not None
             with pytest.raises(NotInvertibleOnCircleError, match="det nearly vanishes on the circle"):
                 det_index_oracle(m)
+
+
+def planted_case(spec, seed, corner=None):
+    """A target F* Lambda F built from planted blocks Lambda_k, without
+    a record, and its factorization stitched from theirs.  Every block
+    is diagonal, but for corner="upper" each 2 x 2 block gets an
+    upper-right entry and is factored as it stands, and for
+    corner="lower" a lower-left one, factored through the swap."""
+    repset = irreps_for(build_group(spec))
+    rng = np.random.default_rng(seed)
+    z = RationalSymbol.zero()
+    blocks = []
+    for deg in repset.degrees:
+        rows = [[random_symbol(rng) if i == j else z for j in range(deg)] for i in range(deg)]
+        if deg == 2 and corner is not None:
+            i, j = (0, 1) if corner == "upper" else (1, 0)
+            rows[i][j] = random_symbol(rng)
+        blocks.append(RationalMatrix(rows))
+    bd, f = BlockDiagonal(repset, tuple(blocks)), fourier_matrix(repset)
+    target = bd.expand().const_mul_left(f.matrix.conj().T).const_mul_right(f.matrix)
+    fac = assemble_full_factorization(bd, [factor_block(b) for b in blocks], f)
+    return RationalMatrix(target.rows), fac
+
+
+def center_case(kind, seed):
+    cs = random_center_symbol(build_group({"kind": kind}), np.random.default_rng(seed))
+    return assemble_center_matrix(cs), center_factorize(cs).factorization
+
+
+def stitched_cases():
+    """(label, target, factorization) of every kind of stitched factor."""
+    c2s3 = {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "s3"}]}
+    return [
+        ("cyclic16", *order16_case()),
+        ("klein4", *planted_case({"kind": "klein4"}, 1)),
+        ("s3", *planted_case({"kind": "s3"}, 2)),
+        ("s3-triangular", *planted_case({"kind": "s3"}, 3, "upper")),
+        ("s3-swapped", *planted_case({"kind": "s3"}, 4, "lower")),
+        ("q8", *planted_case({"kind": "q8"}, 5)),
+        ("a4", *planted_case({"kind": "a4"}, 6)),
+        ("c2xs3", *planted_case(c2s3, 7, "lower")),
+        ("q8-center", *center_case("q8", 8)),
+        ("a4-center", *center_case("a4", 9)),
+    ]
 
 
 def good_case():
@@ -476,7 +526,7 @@ class TestVerifyMatrixFactorization:
         report = verify_matrix_factorization(target, fac)
         byname = {c.name: c for c in report.checks}
         for name, m in (("det_minus_invertible", fac.minus), ("det_plus_invertible", fac.plus)):
-            mods = np.abs(np.linalg.det(m.eval_grid(CircleGrid(verify._WINDING_FLOOR))))
+            mods = np.abs(np.linalg.det(m.eval_grid(CircleGrid(512))))
             want = f"|det| within [{mods.min():.3g}, {mods.max():.3g}] on the circle"
             assert byname[name].detail == want
 
@@ -539,8 +589,9 @@ class TestVerifyMatrixFactorization:
             assert GridEvaluator(m).horner.shape[1] == 32 + 1 + len(dens)
 
     def test_verifying_runs_no_dense_lu(self, monkeypatch):
-        # the stitched factors take det(C) prod s_j and the target's index
-        # comes from eigenvalues, so no n x n sample is LU-factored
+        # the stitched factors come apart into det F and 1 x 1 blocks and
+        # the target's index comes from eigenvalues, so no n x n sample
+        # is LU-factored
         target, fac = order16_case()
         dense = np.linalg.slogdet
         calls = []
@@ -551,24 +602,39 @@ class TestVerifyMatrixFactorization:
             return dense(a)
 
         monkeypatch.setattr(np.linalg, "slogdet", counting)
-        assert GridEvaluator(target).product is None
+        assert target.pieces is None
         assert det_index_oracle(target) == sum(fac.d)
         assert verify_matrix_factorization(target, fac).passed
         assert calls == []
         # the sampled oracle, which the eigenvalue count falls back to,
         # still sees the same winding
-        assert verify._det_winding(target, 512)[0] == sum(fac.d)
+        assert verify._det_winding(target, 512) == sum(fac.d)
         assert set(calls) == {(16, 16)}
 
-    @pytest.mark.parametrize("n", [24, 32])
+    def test_planted_nonabelian_cases_need_no_samples(self, monkeypatch):
+        # every block of these planted s3, q8 and a4 factorizations, their
+        # 2 x 2 triangular ones included, and every target are counted
+        # from eigenvalues
+        calls = []
+        monkeypatch.setattr(verify, "_det_winding", lambda m, n0: calls.append(m.shape) or 0)
+        for label, target, fac in stitched_cases():
+            if label.startswith(("s3", "q8", "a4")):
+                report = verify_matrix_factorization(target, fac)
+                assert report.passed, (label, report.to_text())
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [24, 32, 48, 64])
     def test_det_range_beyond_1e13_passes_index_sum(self, n):
         # |det| of this target varies by more than 1e13 over the circle,
+        # and from order 48 on so does |det| of each stitched factor,
         # which sampled determinants read as "det nearly vanishes", yet
-        # every zero lies 0.5 from the circle
+        # every zero lies 0.5 from the circle; factor and verify within 10 s
+        t0 = time.perf_counter()
         target, fac = cyclic_case(n, 1)
-        assert GridEvaluator(target).product is None
+        assert target.pieces is None
         report = verify_matrix_factorization(target, fac)
         assert report.passed, report.to_text()
+        assert time.perf_counter() - t0 < 10.0
 
     def test_index_accounting_at_the_size_cap(self):
         # cyclic(256), the largest admitted order: its Fourier matrix
@@ -581,14 +647,14 @@ class TestVerifyMatrixFactorization:
         assert time.perf_counter() - t0 < 10.0
 
     def test_parsed_factorization_gets_the_same_report(self):
-        # a parsed document has no scaled entries, so every entry is
-        # evaluated from its own coefficients and every determinant is
-        # LU of the dense samples
-        for target, fac in (good_case(), order16_case()):
+        # a parsed document has no scaled entries and no record, so every
+        # entry is evaluated from its own coefficients and every factor is
+        # one leaf of its own
+        s3, a4 = planted_case({"kind": "s3"}, 3, "upper"), planted_case({"kind": "a4"}, 6)
+        for target, fac in (good_case(), order16_case(), s3, a4):
             parsed = parse_factorization(serialize_factorization(fac))
             assert all(e._base is None for row in parsed.minus.rows for e in row)
-            assert GridEvaluator(parsed.minus).product is None
-            assert GridEvaluator(parsed.plus).product is None
+            assert parsed.minus.pieces is None and parsed.plus.pieces is None
             want = verify_matrix_factorization(target, fac)
             got = verify_matrix_factorization(target, parsed)
             assert want.passed
