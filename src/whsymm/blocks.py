@@ -153,9 +153,11 @@ class _CommonDen:
 
     The common denominator is the product of the distinct denominators
     appearing among the symbols; each numerator is pre-multiplied by the
-    product of the other distinct denominators.  Every combination built
-    from one context shares the same denominator object, which keeps
-    downstream determinants over a single denominator power.
+    product of the other distinct denominators, and the nonzero ones are
+    stacked once into ``nums``, one row per symbol over the common power
+    span starting at t^lo.  Every combination built from one context
+    shares the same denominator object, which keeps downstream
+    determinants over a single denominator power.
     """
 
     def __init__(self, symbols) -> None:
@@ -183,31 +185,33 @@ class _CommonDen:
         suffix.reverse()
         self.common = prefix[m]
         cofactor = [prefix[i] * suffix[i + 1] for i in range(m)]
-        self.scaled_nums = [
-            None if w < 0 else symbols[i].num * cofactor[w]
-            for i, w in enumerate(which)
-        ]
+        self.live = [i for i, w in enumerate(which) if w >= 0]
+        scaled = [symbols[i].num * cofactor[which[i]] for i in self.live]
+        self.lo = min((p.min_deg for p in scaled), default=0)
+        hi = max((p.max_deg for p in scaled), default=self.lo - 1)
+        self.nums = np.zeros((len(scaled), hi - self.lo + 1), dtype=complex)
+        for row, p in zip(self.nums, scaled):
+            row[p.min_deg - self.lo : p.max_deg - self.lo + 1] = p.coeffs
+        self.mags = np.abs(self.nums)
 
     def combine(self, weights: np.ndarray) -> RationalMatrix:
         """Matrix of sum_i weights[i] * symbols[i]; weights has shape
-        (len(symbols), r, c)."""
-        w = np.asarray(weights, dtype=complex)
-        r, c = w.shape[1], w.shape[2]
-        rows = []
-        for i in range(r):
-            row = []
-            for j in range(c):
-                acc = LaurentPoly.zero()
-                for g, num in enumerate(self.scaled_nums):
-                    if num is None or w[g, i, j] == 0:
-                        continue
-                    acc = acc + num.scale(w[g, i, j])
-                row.append(RationalSymbol(acc, self.common))
-            rows.append(row)
-        return RationalMatrix(rows)
+        (len(symbols), r, c).
 
-    def combine_scalar(self, weights) -> RationalSymbol:
-        return self.combine(np.asarray(weights, dtype=complex).reshape(-1, 1, 1))[0, 0]
+        A coefficient no larger than k eps sum_i |weights[i]| |x_i| (k
+        the number of nonzero symbols, x_i their numerators'
+        coefficients at that power) is set to 0: that is the forward
+        error bound of its own sum (Higham, Accuracy and Stability of
+        Numerical Algorithms, section 3.1), so such a coefficient is the
+        roundoff of a cancellation, not data.
+        """
+        w = np.asarray(weights, dtype=complex)[self.live]
+        sums = np.tensordot(w, self.nums, axes=(0, 0))
+        bound = np.tensordot(np.abs(w), self.mags, axes=(0, 0))
+        sums[np.abs(sums) <= len(self.live) * np.finfo(float).eps * bound] = 0.0
+        return RationalMatrix(
+            [[RationalSymbol(LaurentPoly(self.lo, e), self.common) for e in row] for row in sums]
+        )
 
 
 def block_diagonalize(gs: GroupSymbol, repset: RepSet | None = None) -> BlockDiagonal:
@@ -234,10 +238,8 @@ def symbol_from_blocks(blocks, repset: RepSet) -> GroupSymbol:
             for j in range(d):
                 entries.append(m[i, j])
                 weight_rows.append(r.degree * np.conj(r.matrices[:, i, j]) / n)
-    ctx = _CommonDen(entries)
-    weights = np.asarray(weight_rows)  # (entries, n)
-    coeffs = tuple(ctx.combine_scalar(weights[:, g]) for g in range(n))
-    return GroupSymbol(group, coeffs)
+    coeffs = _CommonDen(entries).combine(np.asarray(weight_rows)[:, None, :])
+    return GroupSymbol(group, coeffs.rows[0])
 
 
 def convolve(x: GroupSymbol, y: GroupSymbol) -> GroupSymbol:

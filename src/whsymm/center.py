@@ -77,13 +77,9 @@ def center_diagonalize(
     table = ct if ct is not None else character_table(irreps_for(cs.group))
     part = table.partition
     h = np.asarray(part.sizes, dtype=complex)
-    ctx = _CommonDen(cs.coeffs)
-    out = []
-    for j in range(part.count):
-        d_j = table.values[j, 0].real
-        weights = h * table.values[j, :] / d_j
-        out.append(ctx.combine_scalar(weights))
-    return tuple(out)
+    # weights[i, 0, j] = h_i chi_j(K_i) / d_j
+    weights = (h[:, None] * table.values.T / table.values[:, 0].real)[:, None, :]
+    return tuple(_CommonDen(cs.coeffs).combine(weights).rows[0])
 
 
 def center_factorize(

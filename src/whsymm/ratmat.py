@@ -16,9 +16,7 @@ import itertools
 import numpy as np
 
 from .errors import PoleOnGridError
-from .symbols import CircleGrid, LaurentPoly, RationalSymbol
-
-Zero = RationalSymbol.zero()
+from .symbols import CircleGrid, LaurentPoly, RationalSymbol, Zero
 
 
 class RationalMatrix:
@@ -114,20 +112,16 @@ class RationalMatrix:
         m = np.asarray(mat, dtype=complex)
         if m.shape[1] != self.shape[0]:
             raise ValueError(f"shape mismatch {m.shape} @ {self.shape}")
-        cols = _nonzero_lines(zip(*self.rows))
-        return RationalMatrix(
-            [[_scaled_sum(col, row) for col in cols] for row in m.tolist()]
-        )._built_from(m, self)
+        cols = [_combined_copies(col, m.T) for col in zip(*self.rows)]
+        return RationalMatrix(zip(*cols))._built_from(m, self)
 
     def const_mul_right(self, mat) -> "RationalMatrix":
         """Product self @ C with a constant complex matrix C."""
         m = np.asarray(mat, dtype=complex)
         if m.shape[0] != self.shape[1]:
             raise ValueError(f"shape mismatch {self.shape} @ {m.shape}")
-        cols = m.T.tolist()
-        return RationalMatrix(
-            [[_scaled_sum(row, col) for col in cols] for row in _nonzero_lines(self.rows)]
-        )._built_from(self, m)
+        rows = [_combined_copies(row, m) for row in self.rows]
+        return RationalMatrix(rows)._built_from(self, m)
 
     def _built_from(self, *pieces) -> "RationalMatrix":
         """self with ``pieces`` recorded when all of them are square."""
@@ -176,23 +170,22 @@ class RationalMatrix:
         return f"RationalMatrix({self.shape[0]}x{self.shape[1]})"
 
 
-def _nonzero_lines(lines) -> list[list[tuple[int, RationalSymbol]]]:
-    """Each line's structurally nonzero entries with their positions."""
-    return [[(p, e) for p, e in enumerate(line) if not e.is_zero] for line in lines]
+def _combined_copies(line, c: np.ndarray) -> list[RationalSymbol]:
+    """[sum_p c[p, k] * line[p] for each column k of c].
 
-
-def _scaled_sum(line, coeffs) -> RationalSymbol:
-    """sum_p coeffs[p] * e over the (p, e) of a line, in ascending p.
-
-    Zero entries and zero coefficients are skipped: Zero + x returns x,
-    so the sum is the same object-for-object as the full n-term loop.
+    Each nonzero entry of the line makes all its scaled copies in one
+    ``scaled_copies`` call, and each sum adds them in ascending p.  Zero
+    entries and zero factors are skipped (Zero + x returns x, so the
+    first entry's copies are taken as they are), so every sum is the
+    same object-for-object as the full n-term loop of ``scale`` and
+    ``+``.
     """
-    acc = Zero
-    for p, e in line:
-        c = coeffs[p]
-        if c != 0:
-            acc = acc + e.scale(c)
-    return acc
+    acc = None
+    for p, e in enumerate(line):
+        if not e.is_zero:
+            copies = e.scaled_copies(c[p])
+            acc = copies if acc is None else [a + b for a, b in zip(acc, copies)]
+    return [Zero] * c.shape[1] if acc is None else acc
 
 
 class GridEvaluator:

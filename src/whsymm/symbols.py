@@ -177,7 +177,7 @@ class RationalSymbol:
     and leading coefficient exactly 1; any power of t and any overall
     scale is folded into the numerator.  The zero symbol is 0/1.
 
-    A symbol made by ``scale`` remembers its source: ``_base`` is
+    A symbol made by ``scale`` or ``scaled_copies`` remembers its source: ``_base`` is
     (source, factor) with the symbol equal to factor * source, so a grid
     evaluation can evaluate the source once for all its scaled copies.
     It is None for every other symbol.
@@ -281,6 +281,30 @@ class RationalSymbol:
             out._base = (source, factor * complex(c))
         return out
 
+    def scaled_copies(self, factors) -> list["RationalSymbol"]:
+        """``[self.scale(c) for c in factors]``, each copy built directly.
+
+        A copy shares this symbol's denominator and numerator span, and
+        its coefficients are computed as ``scale`` computes them, so
+        nothing is trimmed or put in canonical form again; only the
+        numerator's coefficient array is new.
+        """
+        factors = np.asarray(factors, dtype=complex).tolist()
+        if self.is_zero:
+            return [Zero] * len(factors)
+        source, factor = self._base or (self, 1.0)
+        out = []
+        for c in factors:
+            if c == 0:
+                out.append(Zero)
+                continue
+            num = LaurentPoly.__new__(LaurentPoly)
+            num.min_deg, num.coeffs, num._roots = self.num.min_deg, self.num.coeffs * c, None
+            copy = RationalSymbol.__new__(RationalSymbol)
+            copy.num, copy.den, copy._base = num, self.den, (source, factor * c)
+            out.append(copy)
+        return out
+
     def shift(self, k: int) -> "RationalSymbol":
         """Multiply by t**k."""
         return RationalSymbol(self.num.shift(k), self.den)
@@ -308,6 +332,11 @@ class RationalSymbol:
         if self.is_const_den:
             return f"RationalSymbol({self.num!r})"
         return f"RationalSymbol({self.num!r} / {self.den!r})"
+
+
+# one zero symbol shared by scaled_copies and the matrices of ratmat;
+# nothing writes to a symbol after building it
+Zero = RationalSymbol.zero()
 
 
 def rational_arith(op: str, x: RationalSymbol, y: RationalSymbol) -> RationalSymbol:

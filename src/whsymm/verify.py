@@ -216,7 +216,7 @@ _EIG_DISK = 100.0
 _LEAD_COND = 1e12
 
 
-def _cleared_rows(m: RationalMatrix) -> tuple[np.ndarray, int] | None:
+def _cleared_rows(m: RationalMatrix, inside: dict | None = None) -> tuple[np.ndarray, int] | None:
     """(P, shift) with det m(t) = c t^L det P(t) / prod_i q_i(t) for a
     constant c != 0, and shift = L - sum_i #zeros of q_i in the disk; P
     is given by its coefficients P[k] of t^k.
@@ -227,7 +227,9 @@ def _cleared_rows(m: RationalMatrix) -> tuple[np.ndarray, int] | None:
     as GridEvaluator takes them) and lo_i the row's lowest power of t,
     so L = sum_i lo_i.  Each denominator's zeros in the disk are
     counted by _disk_zero_count, like those of det P: a root split
-    would scatter a multiple zero near the circle across it.  None when
+    would scatter a multiple zero near the circle across it.  ``inside``
+    holds those counts per denominator's coefficient bytes; it is
+    filled here, and a caller may share it between matrices.  None when
     a row is zero, a denominator's count is not certified, or the
     degree D of P is so high (D^3 >= _WINDING_FLOOR) that the eigenvalue
     solve would cost more than the sampled oracle's LUs.
@@ -235,7 +237,7 @@ def _cleared_rows(m: RationalMatrix) -> tuple[np.ndarray, int] | None:
     n = m.shape[0]
     shift = 0
     rows = []
-    inside: dict[bytes, int | None] = {}  # zeros in the disk per denominator
+    inside = {} if inside is None else inside
     for row in m.rows:
         live = [(j, e) for j, e in enumerate(row) if not e.is_zero]
         if not live:
@@ -273,6 +275,28 @@ def _cleared_rows(m: RationalMatrix) -> tuple[np.ndarray, int] | None:
     return p, shift
 
 
+# _rotation(D) per degree D, computed once and read-only
+_ROTATIONS: dict[int, np.ndarray] = {}
+
+
+def _rotation(deg: int) -> np.ndarray:
+    """rot[k, j]: the coefficient of s^k in (s + a)^j (1 + conj(a) s)^(D - j),
+    a = _MOBIUS and D = deg."""
+    rot = _ROTATIONS.get(deg)
+    if rot is None:
+        rot = np.zeros((deg + 1, deg + 1), dtype=complex)
+        for j in range(deg + 1):
+            c = np.ones(1, dtype=complex)
+            for _ in range(j):
+                c = np.convolve(c, [_MOBIUS, 1.0])
+            for _ in range(deg - j):
+                c = np.convolve(c, [1.0, np.conj(_MOBIUS)])
+            rot[:, j] = c
+        rot.flags.writeable = False
+        _ROTATIONS[deg] = rot
+    return rot
+
+
 def _disk_zero_count(p: np.ndarray) -> int | None:
     """Zeros of det P(t) in the open unit disk, P(t) = sum_k p[k] t^k,
     counted as the eigenvalues in the disk of the block companion C of
@@ -290,16 +314,7 @@ def _disk_zero_count(p: np.ndarray) -> int | None:
     deg, n = p.shape[0] - 1, p.shape[1]
     if not np.all(np.isfinite(p)):
         return None
-    # rot[k, j]: the coefficient of s^k in (s + a)^j (1 + conj(a) s)^(D - j)
-    rot = np.zeros((deg + 1, deg + 1), dtype=complex)
-    for j in range(deg + 1):
-        c = np.ones(1, dtype=complex)
-        for _ in range(j):
-            c = np.convolve(c, [_MOBIUS, 1.0])
-        for _ in range(deg - j):
-            c = np.convolve(c, [1.0, np.conj(_MOBIUS)])
-        rot[:, j] = c
-    q = np.tensordot(rot, p, axes=1)
+    q = np.tensordot(_rotation(deg), p, axes=1)
     sv = np.linalg.svd(q[deg], compute_uv=False)
     if not sv[-1] * _LEAD_COND > sv[0]:
         return None
@@ -336,14 +351,17 @@ def det_index_oracle(m: RationalMatrix, grid: CircleGrid | int = 512) -> int:
     that count is not certified (_cleared_rows, _disk_zero_count), the
     leaf's winding comes from determinant samples (_det_winding);
     ``grid`` sets their minimum number, refined automatically until the
-    winding is resolved.
+    winding is resolved.  The leaves share one count of each
+    denominator's zeros in the disk, so the 1 x 1 leaves of a stitched
+    factor, all over one denominator, count it once.
     """
     n0 = grid if isinstance(grid, int) else grid.n
-    return sum(k * _leaf_winding(leaf, n0) for leaf, k in _det_parts(m)[1])
+    inside: dict[bytes, int | None] = {}
+    return sum(k * _leaf_winding(leaf, n0, inside) for leaf, k in _det_parts(m)[1])
 
 
-def _leaf_winding(m: RationalMatrix, n0: int) -> int:
-    cleared = _cleared_rows(m)
+def _leaf_winding(m: RationalMatrix, n0: int, inside: dict) -> int:
+    cleared = _cleared_rows(m, inside)
     if cleared is not None:
         count = _disk_zero_count(cleared[0])
         if count is not None:
@@ -453,7 +471,16 @@ def verify_matrix_factorization(
     minus, d, plus = fac.minus, list(fac.d), fac.plus
 
     def worst(m: RationalMatrix, violation):
-        return max(violation(e) for row in m.rows for e in row), ""
+        # a violation reads only the denominator and the numerator's
+        # degree span, so the scaled copies of one source share a value;
+        # a later duplicate never changes the running max
+        seen: dict[tuple[int, int, int], float] = {}
+        for row in m.rows:
+            for e in row:
+                key = (id(e.den), e.num.min_deg, e.num.coeffs.size)
+                if key not in seen:
+                    seen[key] = violation(e)
+        return max(seen.values()), ""
 
     chunks = _reconstruction_chunks(target, minus, d, plus, grid.points)
     checks = (

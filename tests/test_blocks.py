@@ -15,6 +15,7 @@ import pytest
 
 from whsymm import (
     CATALOG,
+    CenterSymbol,
     CircleGrid,
     GroupSymbol,
     IllPosedSymbolError,
@@ -22,10 +23,12 @@ from whsymm import (
     PartialFactorizationError,
     RationalMatrix,
     RationalSymbol,
+    assemble_center_matrix,
     assemble_matrix,
     block_diagonalize,
     block_structure,
     build_group,
+    center_diagonalize,
     commutator_subgroup,
     convolve,
     det_index_oracle,
@@ -40,7 +43,17 @@ from whsymm import (
     winding_index,
 )
 
-from conftest import diag_power_eval, draw_group_symbol, random_group_symbol, random_symbol
+from whsymm import blocks
+from whsymm.blocks import assemble_full_factorization
+
+from conftest import (
+    diag_power_eval,
+    dominant_cyclic_symbol,
+    draw_group_symbol,
+    random_center_symbol,
+    random_group_symbol,
+    random_symbol,
+)
 
 EPS = np.exp(2j * np.pi / 3)
 
@@ -201,6 +214,105 @@ class TestSymbolBlocksRoundTrip:
         one = RationalMatrix.identity(1)
         with pytest.raises(ValueError):
             symbol_from_blocks([one, one, one], rs)
+
+
+def per_entry_combine(ctx, weights):
+    """The combination by per-entry LaurentPoly arithmetic, one scale
+    and one add per symbol and entry, on the context's own numerators."""
+    w = np.asarray(weights, dtype=complex)
+    nums = [(g, LaurentPoly(ctx.lo, row)) for g, row in zip(ctx.live, ctx.nums)]
+    out = []
+    for i in range(w.shape[1]):
+        row = []
+        for j in range(w.shape[2]):
+            acc = LaurentPoly.zero()
+            for g, num in nums:
+                if w[g, i, j] != 0:
+                    acc = acc + num.scale(w[g, i, j])
+            row.append(RationalSymbol(acc, ctx.common))
+        out.append(row)
+    return out
+
+
+def planted_scalar_block(rng, zeros):
+    """lead * prod(t - z) / (t - p): ``zeros`` zeros at radius 0.2-0.6
+    or 1.8-4, and a pole at radius 0.1-0.3 half of the time."""
+    roots = [
+        (rng.uniform(0.2, 0.6) if rng.random() < 0.5 else rng.uniform(1.8, 4.0))
+        * np.exp(2j * np.pi * rng.random())
+        for _ in range(zeros)
+    ]
+    num = LaurentPoly.from_roots(roots, complex(rng.normal(), rng.normal()))
+    den = LaurentPoly.const(1.0)
+    if rng.random() < 0.5:
+        den = LaurentPoly.from_roots([rng.uniform(0.1, 0.3) * np.exp(2j * np.pi * rng.random())])
+    return RationalSymbol(num, den)
+
+
+class TestCommonDen:
+    def test_combine_matches_per_entry_arithmetic(self, monkeypatch):
+        # every combination the group and center transforms make, on
+        # every catalog group, within 1e-14 of its coefficient scale
+        calls = []
+        combine = blocks._CommonDen.combine
+
+        def recording(ctx, weights):
+            out = combine(ctx, weights)
+            calls.append((ctx, weights, out))
+            return out
+
+        monkeypatch.setattr(blocks._CommonDen, "combine", recording)
+        rng = np.random.default_rng(7070_03)
+        for spec in CATALOG:
+            g = build_group(spec)
+            bd = block_diagonalize(random_group_symbol(g, rng))
+            symbol_from_blocks(bd.blocks, bd.repset)
+            cs = random_center_symbol(g, rng)
+            assemble_center_matrix(cs)
+            center_diagonalize(cs)
+        assert len(calls) > 2 * len(CATALOG)
+        for ctx, weights, out in calls:
+            want = per_entry_combine(ctx, weights)
+            scale = max(float(np.max(np.abs(e.num.coeffs), initial=0.0)) for row in want for e in row)
+            for got_row, want_row in zip(out.rows, want):
+                for got, ref in zip(got_row, want_row):
+                    assert got.is_zero or got.den is ctx.common
+                    diff = got.num - ref.num
+                    assert diff.is_zero or np.max(np.abs(diff.coeffs)) <= 1e-14 * scale
+
+    def test_unequal_block_degrees_leave_no_roundoff(self):
+        # six 1 x 1 blocks with 0 to 5 zeros: the cancellation roundoff
+        # a combination kept outside a block's own degree span gave it
+        # spurious roots near 0 and infinity, and about a quarter of
+        # these draws failed reconstruction
+        g = build_group(
+            {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}]}
+        )
+        rs = irreps_for(g)
+        for seed in range(40):
+            rng = np.random.default_rng([7070_04, seed])
+            planted = [RationalMatrix([[planted_scalar_block(rng, k)]]) for k in range(6)]
+            gs = symbol_from_blocks(planted, rs)
+            report = verify_matrix_factorization(assemble_matrix(gs), factor_group_symbol(gs, rs))
+            assert report.passed, (seed, report.to_text())
+
+    def test_cyclic32_transforms_add_and_scale_no_entries(self, monkeypatch):
+        # the Fourier transform and the stitching of cyclic(32) are array
+        # operations: no LaurentPoly sum and no RationalSymbol.scale
+        gs = dominant_cyclic_symbol(32, 7070)
+        rs = irreps_for(gs.group)
+        calls = []
+        add, scale = LaurentPoly.__add__, RationalSymbol.scale
+        monkeypatch.setattr(LaurentPoly, "__add__", lambda x, y: calls.append("add") or add(x, y))
+        monkeypatch.setattr(RationalSymbol, "scale", lambda x, c: calls.append("scale") or scale(x, c))
+        bd = block_diagonalize(gs, rs)
+        monkeypatch.undo()
+        factors = [factor_block(b) for b in bd.blocks]
+        monkeypatch.setattr(LaurentPoly, "__add__", lambda x, y: calls.append("add") or add(x, y))
+        monkeypatch.setattr(RationalSymbol, "scale", lambda x, c: calls.append("scale") or scale(x, c))
+        fac = assemble_full_factorization(bd, factors, fourier_matrix(rs))
+        assert calls == []
+        assert fac.minus.shape == fac.plus.shape == (32, 32)
 
 
 class TestConvolve:

@@ -206,6 +206,26 @@ class TestRationalSymbol:
         assert z == RationalSymbol(LaurentPoly(-1, [-2.0j, 4.0]), x.den)
         assert x.scale(0.0)._base is None and (x + y)._base is None
 
+    def test_scaled_copies_equal_scale(self):
+        # equal to scale, bit for bit and source included, also for
+        # copies of a copy, of the zero symbol and by zero factors
+        rng = np.random.default_rng(7070_01)
+        for draw in range(300):
+            x = random_symbol(rng)
+            if draw % 3 == 1:
+                x = x.scale(complex(rng.normal(), rng.normal()))
+            elif draw % 50 == 2:
+                x = RationalSymbol.zero()
+            f = rng.normal(size=6) + 1j * rng.normal(size=6)
+            f[rng.random(6) < 0.3] = 0.0
+            got, want = x.scaled_copies(f), [x.scale(c) for c in f]
+            assert got == want
+            for g, w in zip(got, want):
+                assert g.den is x.den or g.is_zero
+                assert g._base == w._base
+                if w._base is not None:
+                    assert g._base[0] is w._base[0]
+
     def test_rational_arith_dispatch(self):
         x = RationalSymbol.monomial(1)
         y = RationalSymbol.const(2.0)

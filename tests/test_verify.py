@@ -623,6 +623,42 @@ class TestVerifyMatrixFactorization:
                 assert report.passed, (label, report.to_text())
         assert calls == []
 
+    def test_entry_checks_run_once_per_source(self, monkeypatch):
+        # the n^2 entries of a stitched cyclic(32) factor are scaled
+        # copies of n sources, and the worst violation is the one the
+        # plain entry loop finds
+        _, fac = cyclic_case(32, 7032)
+        plain = {
+            name: max(fn(e) for row in m.rows for e in row)
+            for name, fn, m in (
+                ("minus_entries_analytic", verify._minus_entry_violation, fac.minus),
+                ("plus_entries_analytic", verify._plus_entry_violation, fac.plus),
+            )
+        }
+        calls = []
+        for name in ("_minus_entry_violation", "_plus_entry_violation"):
+            fn = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda e, fn=fn: calls.append(e) or fn(e))
+        report = verify_matrix_factorization(assemble_matrix(dominant_cyclic_symbol(32, 7032)), fac)
+        assert 0 < len(calls) <= 2 * 32
+        for check in report.checks:
+            if check.name in plain:
+                assert check.residual == plain[check.name]
+
+    def test_oracle_counts_each_denominator_once(self, monkeypatch):
+        # the 1 x 1 leaves of a stitched factor share their denominators,
+        # and every distinct array reaches the eigenvalue count once
+        _, fac = cyclic_case(32, 7032)
+        count = verify._disk_zero_count
+        seen = []
+        monkeypatch.setattr(verify, "_disk_zero_count", lambda p: seen.append(p.tobytes()) or count(p))
+        for m in (fac.minus, fac.plus):
+            seen.clear()
+            det_index_oracle(m)
+            assert len(seen) == len(set(seen))
+        assert verify._rotation(6) is verify._rotation(6)
+        assert not verify._rotation(6).flags.writeable
+
     @pytest.mark.parametrize("n", [24, 32, 48, 64])
     def test_det_range_beyond_1e13_passes_index_sum(self, n):
         # |det| of this target varies by more than 1e13 over the circle,

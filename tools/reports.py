@@ -2,6 +2,7 @@
 
     python3 tools/reports.py --workload catalog-mix --seeds 1 2 --rounds 3
     python3 tools/reports.py --workload cli-batch --seeds 0 1 2
+    python3 tools/reports.py --workload cyclic-large --seeds 1 2 --rounds 2 --verdicts
 
 For ``catalog-mix`` and ``cyclic-large`` it runs rounds 0 .. rounds-1
 of each seed in process and prints every job's name with the full text
@@ -13,6 +14,13 @@ from the benchmark's own generator (``perfbench/inputs.py``) and run
 against the ``src`` tree of the checkout this file sits in.  Nothing is
 written but stdout, so the outputs of two checkouts compare with one
 ``diff``.
+
+``--verdicts`` prints no residual digits: each check's name and
+verdict, each report's overall verdict and each factorization's
+index vector ``d`` (a scalar factorization's ``index``, an index
+report's total and explicit indices), and for ``cli-batch`` each
+job's exit code alone.  Two trees whose residuals differ only in
+their last digits then give the same output.
 """
 
 from __future__ import annotations
@@ -34,7 +42,25 @@ from inputs import Generator  # noqa: E402
 from jobs import Runtime  # noqa: E402
 
 
-def library_reports(seed: int, workload: str, rounds: int) -> None:
+def verdict_lines(out) -> list[str]:
+    """Check names and verdicts, and each factorization's indices."""
+    lines = []
+    for x in out if isinstance(out, tuple) else (out,):
+        if isinstance(x, whsymm.VerificationReport):
+            lines.extend(f"check={c.name} verdict={'pass' if c.passed else 'fail'}" for c in x.checks)
+            lines.append(f"overall={'pass' if x.passed else 'fail'}")
+        elif isinstance(x, whsymm.CenterFactorization):
+            lines.append(f"d={x.factorization.d}")
+        elif isinstance(x, whsymm.MatrixFactorization):
+            lines.append(f"d={x.d}")
+        elif isinstance(x, whsymm.ScalarFactorization):
+            lines.append(f"index={x.index}")
+        elif isinstance(x, whsymm.IndexReport):
+            lines.append(f"total_index={x.total_index} explicit={x.explicit}")
+    return lines
+
+
+def library_reports(seed: int, workload: str, rounds: int, verdicts: bool) -> None:
     gen = Generator(whsymm, seed)
     rt = Runtime(whsymm, ROOT, in_process=True)
     for r in range(rounds):
@@ -45,20 +71,25 @@ def library_reports(seed: int, workload: str, rounds: int) -> None:
             except Exception as exc:  # a raise is this job's output
                 print(f"{head} raised {type(exc).__name__}: {exc}")
                 continue
+            print(head)
+            if verdicts:
+                print("\n".join(verdict_lines(out)))
+                continue
             reports = [x for x in (out if isinstance(out, tuple) else (out,))
                        if isinstance(x, whsymm.VerificationReport)]
-            print(head)
             for report in reports:
                 print(report.to_text())
 
 
-def cli_digests(seed: int) -> None:
+def cli_digests(seed: int, verdicts: bool) -> None:
     gen = Generator(whsymm, seed)
     rt = Runtime(whsymm, ROOT, in_process=False)
     for job in gen.round("cli-batch", 0):
         code, text = job.run(rt)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        print(f"== seed={seed} job={job.name} exit={code} stdout_sha256={digest}")
+        line = f"== seed={seed} job={job.name} exit={code}"
+        if not verdicts:
+            line += f" stdout_sha256={hashlib.sha256(text.encode('utf-8')).hexdigest()}"
+        print(line)
 
 
 def main(argv=None) -> int:
@@ -68,12 +99,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--rounds", type=int, default=1,
                         help="rounds per seed of a library workload (cli-batch runs round 0)")
+    parser.add_argument("--verdicts", action="store_true",
+                        help="print verdicts and indices only, no residual digits or digests")
     args = parser.parse_args(argv)
     for seed in args.seeds:
         if args.workload == "cli-batch":
-            cli_digests(seed)
+            cli_digests(seed, args.verdicts)
         else:
-            library_reports(seed, args.workload, args.rounds)
+            library_reports(seed, args.workload, args.rounds, args.verdicts)
     return 0
 
 
