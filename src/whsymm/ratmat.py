@@ -272,7 +272,8 @@ class GridEvaluator:
             if k != 0:
                 acc[lo:hi] *= pts**k
             acc[lo:hi] /= acc[d]
-        out = acc.T[:, self.where]
+        # C order, points first, so that a product of samples reads them contiguously
+        out = np.take(acc.T, self.where, axis=1)
         if self.factor is not None:
             out *= self.factor
         return out.reshape(pts.size, *self.shape)

@@ -219,14 +219,10 @@ def _product_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:
     out = []
     for ir1 in r1.irreps:
         for ir2 in r2.irreps:
-            mats = np.stack(
-                [
-                    np.kron(ir1.matrices[i1], ir2.matrices[i2])
-                    for i1 in range(g1.order)
-                    for i2 in range(g2.order)
-                ]
-            )
-            out.append(Irrep(ir1.degree * ir2.degree, mats))
+            # kron(A_i1, B_i2) for every pair of elements, i1 major
+            d = ir1.degree * ir2.degree
+            mats = np.einsum("iab,jcd->ijacbd", ir1.matrices, ir2.matrices).reshape(-1, d, d)
+            out.append(Irrep(d, mats))
     return tuple(out)
 
 

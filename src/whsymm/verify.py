@@ -16,10 +16,20 @@ target and every parsed factor among them, is its own single leaf.  Each
 leaf's zeros in the disk are counted from eigenvalues: its rows are
 cleared of their denominators, and the zeros of the resulting
 polynomial matrix are the eigenvalues of a block companion, each
-accepted only with an inclusion disk clear of the circle.  A leaf the
-eigenvalues leave unresolved is counted from LU samples of its
-determinant instead (_det_winding).  So the index oracle on the target
-never reads a Fourier construction.
+accepted only with an inclusion disk clear of the circle; a triangular
+leaf is split into its diagonal entries first.  A leaf the eigenvalues
+leave unresolved is counted from LU samples of its determinant instead
+(_det_winding).  So the index oracle on the target never reads a
+Fourier construction.
+
+The rest of the verifier reads the record of a factorization whose
+minus is recorded as C diag(s-) and whose plus as diag(s+) C'
+(_leaf_form): every stitched factor of an abelian group or a center
+symbol, and of a nonabelian group whose blocks all factor diagonally.
+Its entries are the scaled copies C_ij s_j, so reconstruction is
+C diag(s- t^d s+) C', one matrix product per chunk of points, and the
+entry checks read the 2n leaves s.  Everything else, every parsed
+document among it, is checked through its n^2 entries.
 """
 
 from __future__ import annotations
@@ -91,9 +101,12 @@ class VerificationReport:
 def reconstruction_check(chunks, tol: float) -> Check:
     """Worst pointwise residual of reconstructed samples against the
     target's samples on the same grid, given as (recon, target) pairs of
-    sample chunks; a NaN anywhere makes the residual NaN."""
-    worst = np.max([np.max(np.abs(recon - target)) for recon, target in chunks])
-    return Check("reconstruction", float(worst), tol)
+    sample chunks, relative to the target's largest modulus on that grid
+    (absolute where the target vanishes on the whole grid); a NaN
+    anywhere makes the residual NaN."""
+    pairs = [(np.max(np.abs(recon - target)), np.max(np.abs(target))) for recon, target in chunks]
+    worst, top = np.max(pairs, axis=0)
+    return Check("reconstruction", float(worst / top if top > 0 else worst), tol)
 
 
 def unitarity_check(m: np.ndarray, tol: float = UNITARY_TOL, name: str = "unitarity") -> VerificationReport:
@@ -173,14 +186,18 @@ def _det_parts(m: RationalMatrix) -> tuple[float, list[tuple[RationalMatrix, int
     The pieces m records are followed down to matrices without a record
     (m itself when it has none) and to the entries of ``diag``, 1 x 1
     leaves; a piece met k times counts k times, as ``BlockDiagonal``
-    repeats block k d_k times.  Each constant piece is judged by
-    _constant_log_abs."""
+    repeats block k d_k times.  A matrix without a record whose entries
+    strictly below (or strictly above) the diagonal are all zero splits
+    into its diagonal entries, as its determinant is their product.
+    Each constant piece is judged by _constant_log_abs."""
     counts: dict[int, list] = {}
     stack = [m]
     while stack:
         piece = stack.pop()
         if isinstance(piece, RationalMatrix) and piece.pieces is not None:
             stack.extend(piece.pieces)
+        elif isinstance(piece, RationalMatrix) and _triangular(piece):
+            stack.extend(piece.rows[i][i] for i in range(piece.shape[0]))
         else:
             counts.setdefault(id(piece), [piece, 0])[1] += 1
     log_c, leaves = 0.0, []
@@ -192,17 +209,73 @@ def _det_parts(m: RationalMatrix) -> tuple[float, list[tuple[RationalMatrix, int
     return log_c, leaves
 
 
+def _leaf_form(m: RationalMatrix, left: bool) -> tuple[np.ndarray, list[RationalSymbol]] | None:
+    """(C, s) when m's record is C diag(s) (``left``, as a stitched minus
+    is built) or diag(s) C (as a stitched plus is), else None.
+
+    diag(s) is any matrix whose record flattens to a diagonal: the blocks
+    of ``block_diag``, the entries of ``diag`` and 1 x 1 matrices, in
+    order.  Each entry of m is then the scaled copy C_ij s_j (or s_i C_ij)
+    that ``const_mul_left`` (``const_mul_right``) made, and GridEvaluator
+    gives it as s_j(t) C_ij, so a leaf's samples times C are m's samples,
+    bit for bit when the leaf is not itself a scaled copy."""
+
+    def diagonal(piece) -> list[RationalSymbol] | None:
+        if isinstance(piece, RationalSymbol):
+            return [piece]
+        if not isinstance(piece, RationalMatrix):
+            return None
+        if piece.pieces is None:
+            return [piece.rows[0][0]] if piece.shape == (1, 1) else None
+        out = []
+        for sub in piece.pieces:
+            leaves = diagonal(sub)
+            if leaves is None:
+                return None
+            out.extend(leaves)
+        return out
+
+    if m.pieces is None or len(m.pieces) != 2:
+        return None
+    c, inner = m.pieces if left else m.pieces[::-1]
+    leaves = diagonal(inner) if isinstance(c, np.ndarray) else None
+    return None if leaves is None else (c, leaves)
+
+
+def _triangular(m: RationalMatrix) -> bool:
+    """m is square with only zeros strictly below, or strictly above,
+    its diagonal."""
+    n = m.shape[0]
+    if m.shape[1] != n:
+        return False
+    return all(m.rows[i][j].is_zero for i in range(n) for j in range(i)) or all(
+        m.rows[j][i].is_zero for i in range(n) for j in range(i)
+    )
+
+
+def _sampled(m: RationalMatrix, pts: np.ndarray, each) -> np.ndarray:
+    """np.concatenate of each(values) over pts, m evaluated in chunks of
+    at most _CHUNK_BYTES working memory."""
+    ev = GridEvaluator(m)
+    return np.concatenate([each(ev(p)) for p in point_chunks(pts, ev.bytes_per_point)])
+
+
 def _det_log_abs(m: RationalMatrix, pts: np.ndarray) -> np.ndarray:
     """log|det m(t)| at each of pts, from the parts _det_parts finds,
     each leaf sampled in chunks of at most _CHUNK_BYTES working memory;
-    a 1 x 1 leaf is read off its values, with no LU."""
+    the 1 x 1 leaves are read off their values, all evaluated together,
+    with no LU."""
     log_c, leaves = _det_parts(m)
+    scalars = [leaf for leaf, _ in leaves if leaf.shape == (1, 1)]
+    if scalars:
+        row = RationalMatrix([[leaf.rows[0][0] for leaf in scalars]])
+        scalar_logs = iter(_sampled(row, pts, lambda v: np.log(np.abs(v[:, 0]))).T)
     out = np.full(pts.size, log_c)
     for leaf, k in leaves:
-        ev = GridEvaluator(leaf)
-        chunks = (ev(p) for p in point_chunks(pts, ev.bytes_per_point))
-        logs = [np.log(np.abs(v[:, 0, 0])) if v.shape[1] == 1 else np.linalg.slogdet(v)[1] for v in chunks]
-        out += k * np.concatenate(logs)
+        if leaf.shape == (1, 1):
+            out += k * next(scalar_logs)
+        else:
+            out += k * _sampled(leaf, pts, lambda v: np.linalg.slogdet(v)[1])
     return out
 
 
@@ -434,24 +507,60 @@ def _exp_3g(log_abs: float) -> str:
     return f"{mant}e{k:+03d}"
 
 
-def _reconstruct(mvals: np.ndarray, d, pvals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Samples of minus diag(t**d) plus from samples of minus and plus.
+def _powers(pts: np.ndarray, d) -> np.ndarray:
+    """(N, n) array of pts**d[j], each distinct power taken once."""
+    u, which = np.unique(np.asarray(d), return_inverse=True)
+    return (pts[:, None] ** u)[:, which]
+
+
+def _reconstruct(mvals: np.ndarray, powers: np.ndarray, pvals: np.ndarray) -> np.ndarray:
+    """Samples of minus diag(t**d) plus from samples of minus and plus
+    and powers = _powers(pts, d).
 
     The diagonal factor scales the columns of minus, so the product is
     one batched matmul, O(N n^3).
     """
-    return (mvals * pts[:, None, None] ** np.asarray(d)) @ pvals
+    return (mvals * powers[:, None, :]) @ pvals
+
+
+def _reconstruct_leaves(c_minus: np.ndarray, v: np.ndarray, c_plus: np.ndarray) -> np.ndarray:
+    """Samples of C- diag(v) C+ from (N, n) samples of the diagonal
+    v = s- t^d s+, as one (N n, n) by (n, n) matrix product."""
+    n = c_minus.shape[0]
+    return ((c_minus * v[:, None, :]).reshape(-1, n) @ c_plus).reshape(-1, n, n)
 
 
 def _reconstruction_chunks(target: RationalMatrix, minus, d, plus, pts: np.ndarray):
     """(reconstruction, target) samples over pts in chunks of at most
     _CHUNK_BYTES working memory, as in _det_winding, so that no (N, n, n)
-    array is held whole; each sample is the one the whole grid gives."""
-    evs = [GridEvaluator(m) for m in (target, minus, plus)]
-    # the evaluations, then the scaled minus, the product, the difference and its modulus
-    for p in point_chunks(pts, sum(ev.bytes_per_point for ev in evs) + 64 * len(d) ** 2):
-        tvals, mvals, pvals = (ev(p) for ev in evs)
-        yield _reconstruct(mvals, d, pvals, p), tvals
+    array is held whole; each sample is the one the whole grid gives.
+    Factors in _leaf_form are evaluated from their 2n leaves, whose
+    (N, n) diagonal is formed once, others from their n^2 entries."""
+    n = len(d)
+    ta = GridEvaluator(target)
+    powers = _powers(pts, d)
+    forms = _leaf_form(minus, left=True), _leaf_form(plus, left=False)
+    if None in forms:
+        mv, pv = GridEvaluator(minus), GridEvaluator(plus)
+        per_point = mv.bytes_per_point + pv.bytes_per_point
+
+        def recon(p, k):
+            return _reconstruct(mv(p), powers[k], pv(p))
+    else:
+        (c_minus, s_minus), (c_plus, s_plus) = forms
+        s = _sampled(RationalMatrix([s_minus + s_plus]), pts, lambda v: v[:, 0])
+        v = s[:, :n] * powers * s[:, n:]
+        per_point = 0
+
+        def recon(p, k):
+            return _reconstruct_leaves(c_minus, v[k], c_plus)
+
+    # the evaluations, then the scaled factor, the product, the difference and its modulus
+    start = 0
+    for p in point_chunks(pts, ta.bytes_per_point + per_point + 64 * n**2):
+        k, start = slice(start, start + p.size), start + p.size
+        tvals = ta(p)
+        yield recon(p, k), tvals
 
 
 def verify_matrix_factorization(
@@ -470,23 +579,30 @@ def verify_matrix_factorization(
     grid = CircleGrid(grid_n)
     minus, d, plus = fac.minus, list(fac.d), fac.plus
 
-    def worst(m: RationalMatrix, violation):
+    def worst(m: RationalMatrix, violation, left: bool):
         # a violation reads only the denominator and the numerator's
         # degree span, so the scaled copies of one source share a value;
-        # a later duplicate never changes the running max
+        # a later duplicate never changes the running max.  A factor in
+        # _leaf_form has its leaves' violations, for every leaf with a
+        # nonzero column (row) of C; its other entries are zero
+        form = _leaf_form(m, left)
+        if form is None:
+            entries = [e for row in m.rows for e in row]
+        else:
+            live = np.any(form[0] != 0, axis=0 if left else 1)
+            entries = [s for s, keep in zip(form[1], live) if keep]
         seen: dict[tuple[int, int, int], float] = {}
-        for row in m.rows:
-            for e in row:
-                key = (id(e.den), e.num.min_deg, e.num.coeffs.size)
-                if key not in seen:
-                    seen[key] = violation(e)
-        return max(seen.values()), ""
+        for e in entries:
+            key = (id(e.den), e.num.min_deg, e.num.coeffs.size)
+            if key not in seen:
+                seen[key] = violation(e)
+        return max(seen.values(), default=0.0), ""
 
     chunks = _reconstruction_chunks(target, minus, d, plus, grid.points)
     checks = (
         reconstruction_check(chunks, recon_tol),
-        _guarded("minus_entries_analytic", lambda: worst(minus, _minus_entry_violation)),
-        _guarded("plus_entries_analytic", lambda: worst(plus, _plus_entry_violation)),
+        _guarded("minus_entries_analytic", lambda: worst(minus, _minus_entry_violation, True)),
+        _guarded("plus_entries_analytic", lambda: worst(plus, _plus_entry_violation, False)),
         _factor_invertibility(minus, grid_n, "det_minus_invertible"),
         _factor_invertibility(plus, grid_n, "det_plus_invertible"),
         _guarded("index_sum", lambda: (float(abs(sum(d) - det_index_oracle(target, grid_n))), "")),

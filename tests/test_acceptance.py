@@ -526,4 +526,15 @@ def test_criterion_9_mutation_suite():
     report = validate_repset(s3, mutated)
     assert "unitarity" in failing(report)
 
+    # mutation 4: a doubled plus factor trips reconstruction at any input
+    # scale, and the unmutated factorization passes at every scale
+    z = RationalSymbol.zero()
+    for c in (1e-14, 1e8):
+        coeffs = [RationalSymbol.from_poly(LaurentPoly.from_roots([0.3], c)), RationalSymbol.const(2.0 * c), z, z]
+        gs = GroupSymbol(build_group({"kind": "klein4"}), coeffs)
+        target, fac = assemble_matrix(gs), factor_group_symbol(gs)
+        assert verify_matrix_factorization(target, fac).passed
+        doubled = MatrixFactorization(fac.minus, fac.d, fac.plus.const_mul_right(2.0 * np.eye(4)))
+        assert failing(verify_matrix_factorization(target, doubled)) == {"reconstruction"}
+
     _conclude(9, "mutation suite", t0, 5.0, "every designated check trips")

@@ -195,6 +195,14 @@ class TestEvaluation:
         dens = {e.den.coeffs.tobytes() for e in (a, b)}
         assert GridEvaluator(chained).horner.shape[1] == 2 + 1 + len(dens)
 
+    def test_samples_are_points_first_in_c_order(self):
+        # a product of samples reads each point's matrix contiguously
+        rng = np.random.default_rng(5050_13)
+        m = RationalMatrix.block_diag([random_matrix(rng, 2, 2), random_matrix(rng, 1, 1)])
+        for mat in (m, m.const_mul_left(rng.normal(size=(3, 3)))):
+            got = GridEvaluator(mat)(CircleGrid(64).points)
+            assert got.shape == (64, 3, 3) and got.flags.c_contiguous
+
     def test_eval_grid_pole_on_grid(self):
         pole = RationalSymbol(LaurentPoly.const(1.0), LaurentPoly.from_roots([-1.0]))
         m = RationalMatrix([[RationalSymbol.const(2.0), pole]])

@@ -100,6 +100,27 @@ class TestIrrepLaws:
                 assert np.array_equal(x.matrices, y.matrices)
                 assert not x.matrices.flags.writeable and not y.matrices.flags.writeable
 
+    def test_product_irreps_equal_the_kron_loop(self):
+        # one np.kron per pair of elements is the reference; the product
+        # set must hold exactly those matrices, in that order
+        specs = [
+            {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "s3"}]},
+            {"kind": "product", "factors": [{"kind": "q8"}, {"kind": "a4"}]},
+            {"kind": "product", "factors": [{"kind": "cyclic", "n": 4}, {"kind": "cyclic", "n": 8}]},
+        ]
+        for spec in specs:
+            g1, g2 = (build_group(f) for f in spec["factors"])
+            want = [
+                np.stack([np.kron(a, b) for a in ir1.matrices for b in ir2.matrices])
+                for ir1 in irreps_for(g1).irreps
+                for ir2 in irreps_for(g2).irreps
+            ]
+            got = reps._product_irreps(build_group(spec))
+            assert len(got) == len(want)
+            for irrep, mats in zip(got, want):
+                assert irrep.degree == mats.shape[1]
+                assert np.array_equal(irrep.matrices, mats)
+
     def test_unsupported_group_has_no_repset(self):
         g = build_group({"kind": "custom", "cayley": [[0, 1], [1, 0]]})
         with pytest.raises(UnsupportedGroupError):

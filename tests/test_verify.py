@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 from whsymm import (
+    CATALOG,
     BlockDiagonal,
     Check,
     CircleGrid,
+    GroupSymbol,
     LaurentPoly,
     NotInvertibleOnCircleError,
     PoleOnGridError,
@@ -35,6 +37,7 @@ from whsymm import (
     det_index_oracle,
     factor_block,
     factor_group_symbol,
+    factor_rational,
     factor_triangular_2x2,
     fourier_matrix,
     irreps_for,
@@ -46,7 +49,13 @@ from whsymm import verify
 from whsymm.blocks import MatrixFactorization, assemble_full_factorization
 from whsymm.documents import parse_factorization, serialize_factorization
 
-from conftest import diag_power_eval, dominant_cyclic_symbol, random_center_symbol, random_symbol
+from conftest import (
+    diag_power_eval,
+    dominant_cyclic_symbol,
+    draw_group_symbol,
+    random_center_symbol,
+    random_symbol,
+)
 from whsymm.ratmat import GridEvaluator
 
 DECLINE = (UndersampledError, NotInvertibleOnCircleError)
@@ -138,7 +147,11 @@ class TestCheckMechanics:
         bad = (np.ones(3), np.array([1.0, 2.0, 1.0]))
         nan = (np.ones(3), np.array([1.0, np.nan, 1.0]))
         check = verify.reconstruction_check([ok, bad, ok], 1e-10)
-        assert check.name == "reconstruction" and check.residual == 1.0
+        # relative to the largest target modulus in any chunk, here 2
+        assert check.name == "reconstruction" and check.residual == 0.5
+        # absolute where the target vanishes on the whole grid
+        zero = (np.full(3, 1e-12), np.zeros(3))
+        assert verify.reconstruction_check([zero, zero], 1e-10).residual == 1e-12
         # a NaN in any chunk, first or last, makes the residual NaN
         for chunks in ([nan, bad], [bad, nan]):
             check = verify.reconstruction_check(chunks, 1e-10)
@@ -356,12 +369,10 @@ class TestDetIndexOracle:
                 det_index_oracle(m)
 
 
-def planted_case(spec, seed, corner=None):
-    """A target F* Lambda F built from planted blocks Lambda_k, without
-    a record, and its factorization stitched from theirs.  Every block
-    is diagonal, but for corner="upper" each 2 x 2 block gets an
-    upper-right entry and is factored as it stands, and for
-    corner="lower" a lower-left one, factored through the swap."""
+def planted_blocks(spec, seed, corner=None):
+    """Random blocks Lambda_k for the irreps of a catalog group.  Every
+    block is diagonal, but for corner="upper" each 2 x 2 block gets an
+    upper-right entry, and for corner="lower" a lower-left one."""
     repset = irreps_for(build_group(spec))
     rng = np.random.default_rng(seed)
     z = RationalSymbol.zero()
@@ -372,6 +383,14 @@ def planted_case(spec, seed, corner=None):
             i, j = (0, 1) if corner == "upper" else (1, 0)
             rows[i][j] = random_symbol(rng)
         blocks.append(RationalMatrix(rows))
+    return repset, blocks
+
+
+def planted_case(spec, seed, corner=None):
+    """A target F* Lambda F built from planted_blocks, without a record,
+    and its factorization stitched from theirs; a triangular block is
+    factored as it stands, a lower one through the swap."""
+    repset, blocks = planted_blocks(spec, seed, corner)
     bd, f = BlockDiagonal(repset, tuple(blocks)), fourier_matrix(repset)
     target = bd.expand().const_mul_left(f.matrix.conj().T).const_mul_right(f.matrix)
     fac = assemble_full_factorization(bd, [factor_block(b) for b in blocks], f)
@@ -398,6 +417,44 @@ def stitched_cases():
         ("q8-center", *center_case("q8", 8)),
         ("a4-center", *center_case("a4", 9)),
     ]
+
+
+def leaf_cases():
+    """(label, target, factorization) whose factors are all in leaf form:
+    a drawn symbol of every abelian catalog group, planted diagonal
+    blocks of every other one, and a center symbol of every one."""
+    out = []
+    for spec in CATALOG:
+        g = build_group(spec)
+        rng = np.random.default_rng(11)
+        if all(deg == 1 for deg in irreps_for(g).degrees):
+            gs, _ = draw_group_symbol(g, rng)
+            out.append((g.name, assemble_matrix(gs), factor_group_symbol(gs)))
+        else:
+            out.append((g.name, *planted_case(spec, 11)))
+        cs = random_center_symbol(g, rng)
+        out.append((g.name + "-center", assemble_center_matrix(cs), center_factorize(cs).factorization))
+    return out
+
+
+def klein4_scaled(c):
+    """klein4 with c (t - 0.3) and 2c on its first two elements, and its
+    factorization."""
+    z = RationalSymbol.zero()
+    coeffs = [RationalSymbol.from_poly(LaurentPoly.from_roots([0.3], c)), RationalSymbol.const(2.0 * c), z, z]
+    gs = GroupSymbol(build_group({"kind": "klein4"}), coeffs)
+    return assemble_matrix(gs), factor_group_symbol(gs)
+
+
+def doubled_plus(fac):
+    """fac with its stitched plus Lambda+ F made Lambda+ (2 F), so still
+    in leaf form."""
+    lam_plus, f = fac.plus.pieces
+    return MatrixFactorization(fac.minus, fac.d, lam_plus.const_mul_right(2.0 * f))
+
+
+def record_free(fac):
+    return MatrixFactorization(RationalMatrix(fac.minus.rows), fac.d, RationalMatrix(fac.plus.rows))
 
 
 def good_case():
@@ -518,8 +575,13 @@ class TestVerifyMatrixFactorization:
         want = np.einsum(
             "nij,njk,nkl->nil", mvals, diag_power_eval(list(fac.d), grid.points), pvals
         )
-        got = verify._reconstruct(mvals, fac.d, pvals, grid.points)
+        got = verify._reconstruct(mvals, verify._powers(grid.points, fac.d), pvals)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_distinct_powers_match_per_column_powers(self):
+        pts = CircleGrid(512).points
+        d = np.random.default_rng(7).integers(-3, 4, size=32)
+        assert np.array_equal(verify._powers(pts, d), pts[:, None] ** d)
 
     def test_det_detail_matches_dense_determinant(self):
         target, fac = good_case()
@@ -567,17 +629,115 @@ class TestVerifyMatrixFactorization:
     def test_reconstruction_chunks_are_invisible(self, monkeypatch):
         target, fac = good_case()
         doubled = MatrixFactorization(fac.minus, fac.d, fac.plus.const_mul_right(2.0 * np.eye(2)))
-        cases = [(target, fac), (target, doubled), order16_case()]
+        t16, f16 = order16_case()
+        # the first three reconstruct from the factors' entries, the last
+        # two from the leaves of their records
+        cases = [(target, fac), (target, doubled), (t16, record_free(f16)), (t16, f16), (t16, doubled_plus(f16))]
         want = [verify_matrix_factorization(t, f) for t, f in cases]
         grid = CircleGrid(512)
-        for (t, f), report in zip(cases, want):
-            # the residual is exactly that of the whole-grid samples
-            whole = verify._reconstruct(f.minus.eval_grid(grid), f.d, f.plus.eval_grid(grid), grid.points)
-            assert report.checks[0].residual == float(np.max(np.abs(whole - t.eval_grid(grid))))
-        assert not want[1].checks[0].passed
+        for k, ((t, f), report) in enumerate(zip(cases, want)):
+            forms = verify._leaf_form(f.minus, left=True), verify._leaf_form(f.plus, left=False)
+            assert (None in forms) == (k < 3)
+            powers = verify._powers(grid.points, f.d)
+            if k < 3:
+                whole = verify._reconstruct(f.minus.eval_grid(grid), powers, f.plus.eval_grid(grid))
+            else:
+                (c_minus, s_minus), (c_plus, s_plus) = forms
+                s, n = RationalMatrix([s_minus + s_plus]).eval_grid(grid)[:, 0], len(f.d)
+                whole = verify._reconstruct_leaves(c_minus, s[:, :n] * powers * s[:, n:], c_plus)
+            # the residual is exactly that of the whole-grid samples,
+            # relative to the target's largest modulus on the grid
+            tvals = t.eval_grid(grid)
+            assert report.checks[0].residual == float(np.max(np.abs(whole - tvals)) / np.max(np.abs(tvals)))
+        assert [r.checks[0].passed for r in want] == [True, False, True, True, False]
         # a few points per chunk, and chunks that do not divide the grid
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 3000)
         assert [verify_matrix_factorization(t, f) for t, f in cases] == want
+
+    def test_record_agrees_with_rows(self):
+        # the leaves' samples times C are the factor's own samples, bit
+        # for bit, for every kind of factor in leaf form
+        pts = CircleGrid(512).points
+        for label, _, fac in leaf_cases() + [("cyclic32", *cyclic_case(32, 7032))]:
+            for m, left in ((fac.minus, True), (fac.plus, False)):
+                c, leaves = verify._leaf_form(m, left)
+                s = GridEvaluator(RationalMatrix([leaves]))(pts)[:, 0]
+                got = s[:, None, :] * c if left else s[:, :, None] * c
+                assert np.array_equal(got, GridEvaluator(m)(pts)), (label, left)
+
+    def test_leaf_form_is_read_from_the_record(self):
+        # triangular blocks, upper or swapped, and parsed documents keep
+        # the entry path
+        _, tri = planted_case({"kind": "s3"}, 3, "upper")
+        _, swapped = planted_case({"kind": "s3"}, 4, "lower")
+        _, fac = order16_case()
+        parsed = parse_factorization(serialize_factorization(fac))
+        for f in (tri, swapped, parsed, good_case()[1]):
+            assert verify._leaf_form(f.minus, left=True) is None
+            assert verify._leaf_form(f.plus, left=False) is None
+        # the constant sits on the left of minus and on the right of plus
+        assert verify._leaf_form(fac.minus, left=False) is None
+        assert verify._leaf_form(fac.plus, left=True) is None
+        c, leaves = verify._leaf_form(fac.minus, left=True)
+        assert c is fac.minus.pieces[0] and len(leaves) == 16
+
+    def test_record_free_copy_gets_the_same_verdicts(self):
+        # verifying through the leaves and through the n^2 entries gives
+        # the same checks; the reconstruction residuals, relative to the
+        # target's largest modulus, agree within 1e-13
+        for label, target, fac in leaf_cases():
+            for f in (fac, doubled_plus(fac)):
+                want = verify_matrix_factorization(target, f)
+                got = verify_matrix_factorization(target, record_free(f))
+                assert want.checks[1:] == got.checks[1:], label
+                assert want.checks[0].passed == got.checks[0].passed == (f is fac), label
+                assert abs(want.checks[0].residual - got.checks[0].residual) <= 1e-13, label
+
+    def test_recorded_factors_build_no_entry_evaluator(self, monkeypatch):
+        # a stitched cyclic(32) factorization is evaluated from its 2n
+        # leaves; only the target is evaluated through its n^2 entries
+        target, fac = cyclic_case(32, 7032)
+        built = []
+        monkeypatch.setattr(verify, "GridEvaluator", lambda m: built.append(m) or GridEvaluator(m))
+        assert verify_matrix_factorization(target, fac).passed
+        assert built and not any(m is fac.minus or m is fac.plus for m in built)
+        assert [m for m in built if m.shape[0] * m.shape[1] > 2 * 32] == [target]
+
+    def test_triangular_leaves_need_no_samples(self, monkeypatch):
+        # a triangular 2 x 2 block factor is counted from its diagonal
+        # entries; a gap corner (decreasing diagonal indices), whose
+        # factors are full 2 x 2 products, is left out here
+        calls = []
+        monkeypatch.setattr(verify, "_det_winding", lambda m, n0: calls.append(m.shape) or 0)
+        counted = 0
+        for kind in ("s3", "q8"):
+            for corner in ("upper", "lower"):
+                for seed in range(12):
+                    _, blocks = planted_blocks({"kind": kind}, seed, corner)
+                    first, second = (0, 1) if corner == "upper" else (1, 0)
+                    if any(
+                        factor_rational(b[first, first]).index > factor_rational(b[second, second]).index
+                        for b in blocks
+                        if b.shape == (2, 2)
+                    ):
+                        continue
+                    _, fac = planted_case({"kind": kind}, seed, corner)
+                    for name, m in (("det_minus", fac.minus), ("det_plus", fac.plus)):
+                        assert verify._factor_invertibility(m, 512, name).passed, (kind, corner, seed)
+                    counted += 1
+        assert calls == [] and counted >= 24
+
+    def test_reconstruction_is_relative_to_the_target(self):
+        # the absolute residual of a correct factorization grows with the
+        # input's scale and that of a wrong one shrinks with it; both
+        # through the leaves and through the entries
+        for c in (1e-14, 1.0, 1e8):
+            target, fac = klein4_scaled(c)
+            for f, right in ((fac, True), (doubled_plus(fac), False)):
+                for g in (f, record_free(f)):
+                    report = verify_matrix_factorization(target, g)
+                    assert report.passed == right, (c, right, report.to_text())
+                    assert report.checks[0].passed == right
 
     def test_stitched_factor_plan_has_one_column_per_block(self):
         # F* diag(lambda_minus) has n^2 entries, each a scaled copy of one
