@@ -10,29 +10,28 @@ infinity, and s_plus zero- and pole-free on {|t| <= 1}.  The grid engine
 works from samples alone: it reads rho off a cyclic phase sum, then
 splits the logarithm of the deflated symbol by Fourier frequency sign.
 The two engines agree wherever both apply, which is what makes either
-one an independent oracle for the other.
+one an independent oracle for the other.  verify_scalar checks an exact
+factorization as the 1 x 1 case of verify.verify_matrix_factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import NotInvertibleOnCircleError, UndersampledError
+from .ratmat import RationalMatrix
 from .symbols import (
     CircleGrid,
     LaurentPoly,
     RationalSymbol,
-    confirmed_winding,
-    eval_on_grid,
-    inside_excess,
-    outside_excess,
     phase_winding,
     split_by_circle,
     winding_index,
 )
-from .verify import RECON_TOL, Check, VerificationReport, _guarded, reconstruction_check
+from .verify import RECON_TOL, Check, VerificationReport, verify_matrix_factorization
 
 
 @dataclass(frozen=True)
@@ -106,43 +105,12 @@ def verify_scalar(
     recon_tol: float = RECON_TOL,
     grid_n: int = 512,
 ) -> VerificationReport:
-    """Certify a scalar factorization against its target symbol."""
-    checks: list[Check] = []
-    grid = CircleGrid(grid_n)
-    target = eval_on_grid(s, grid)
-    recon = (
-        eval_on_grid(fac.minus, grid)
-        * grid.points**fac.index
-        * eval_on_grid(fac.plus, grid)
-    )
-    checks.append(reconstruction_check([(recon, target)], recon_tol))
-
-    minus, plus = fac.minus, fac.plus
-    v = float("inf")
-    if not minus.is_zero:
-        v = max(outside_excess(minus.num), outside_excess(minus.den))
-        balance = minus.num.max_deg - minus.den.max_deg
-        if balance != 0:
-            v = max(v, float(abs(balance)))
-    checks.append(Check("minus_analytic_outside", v, 0.0))
-
-    v = float("inf")
-    if not minus.is_zero and minus.num.max_deg == minus.den.max_deg:
-        v = float(abs(minus.num.coeffs[-1] / minus.den.coeffs[-1] - 1.0))
-    checks.append(Check("minus_normalized_at_infinity", v, 1e-12))
-
-    v = float("inf")
-    if not plus.is_zero:
-        v = max(inside_excess(plus.num), inside_excess(plus.den))
-        if plus.num.min_deg != 0:
-            v = max(v, float(abs(plus.num.min_deg)))
-    checks.append(Check("plus_analytic_inside", v, 0.0))
-
-    def index_confirmed():
-        # from the target's own samples, not from the roots rho came from
-        confirmed_winding(s, fac.index, "the index")
-        return 0.0, ""
-
-    checks.append(_guarded("index", index_confirmed))
-
-    return VerificationReport(tuple(checks), subject="scalar factorization")
+    """verify_matrix_factorization's checks on the 1 x 1 factorization
+    [[s]] = [[minus]] t**index [[plus]], then minus_normalized_at_infinity."""
+    one = SimpleNamespace(minus=RationalMatrix([[fac.minus]]), d=(fac.index,), plus=RationalMatrix([[fac.plus]]))
+    report = verify_matrix_factorization(RationalMatrix([[s]]), one, recon_tol, grid_n)
+    m = fac.minus
+    balanced = not m.is_zero and m.num.max_deg == m.den.max_deg
+    v = float(abs(m.num.coeffs[-1] / m.den.coeffs[-1] - 1.0)) if balanced else float("inf")
+    checks = report.checks + (Check("minus_normalized_at_infinity", v, 1e-12),)
+    return VerificationReport(checks, subject="scalar factorization")

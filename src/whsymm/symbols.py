@@ -520,26 +520,6 @@ def certified_winding(ratios, n: int) -> tuple[int | None, float, int]:
         n *= 2
 
 
-def confirmed_winding(s: RationalSymbol, count: int, what: str) -> int:
-    """``count``, when the certified_winding of the samples of s from
-    N = 256 equals it; otherwise UndersampledError saying that the
-    argument-principle check disagrees with ``what``."""
-
-    def ratios(n: int) -> np.ndarray:
-        vals = eval_on_grid(s, CircleGrid(n))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.roll(vals, -1) / vals
-
-    winding, turns, n = certified_winding(ratios, 256)
-    if winding != count:
-        uncertified = "" if winding is not None else " uncertified"
-        raise UndersampledError(
-            f"argument-principle check disagrees with {what} "
-            f"({turns:.3f}{uncertified} turns vs {count}) at N={n}"
-        )
-    return count
-
-
 def winding_index(s: RationalSymbol) -> int:
     """Winding number of s around 0 as t runs over the unit circle.
 
@@ -555,7 +535,19 @@ def winding_index(s: RationalSymbol) -> int:
     zeros_in, _ = split_by_circle(s.num)
     poles_in, _ = split_by_circle(s.den)
     idx = s.num.min_deg - s.den.min_deg + len(zeros_in) - len(poles_in)
-    return confirmed_winding(s, idx, "root count")
+
+    def ratios(n: int) -> np.ndarray:
+        vals = eval_on_grid(s, CircleGrid(n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.roll(vals, -1) / vals
+
+    winding, turns, n = certified_winding(ratios, 256)
+    if winding != idx:
+        raise UndersampledError(
+            f"argument-principle check disagrees with root count ({turns:.3f}"
+            f"{'' if winding is not None else ' uncertified'} turns vs {idx}) at N={n}"
+        )
+    return idx
 
 
 # ----------------------------------------------------------------------

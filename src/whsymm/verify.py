@@ -1,9 +1,9 @@
 """Black-box certification of factorizations.
 
 Nothing in this module trusts how a factorization was produced.  Checks
-are scored as (residual, tolerance) pairs so a report can be rendered
-uniformly; structural checks (root locations, degree balance, index
-bookkeeping) use tolerance 0 with an integer-valued residual.
+are (residual, tolerance) pairs, tolerance 0 for the structural ones
+(pole locations, degree balance, windings); a scalar factorization is
+checked as its 1 x 1 case (scalar.verify_scalar).
 
 The determinant oracle (det_index_oracle) forms no determinant.  It
 reads a matrix's record of how it was built (``RationalMatrix.pieces``)

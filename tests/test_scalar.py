@@ -14,17 +14,20 @@ import pytest
 from whsymm import (
     CircleGrid,
     LaurentPoly,
+    MatrixFactorization,
     NotInvertibleOnCircleError,
+    RationalMatrix,
     RationalSymbol,
     ScalarFactorization,
     UndersampledError,
     factor_grid,
     factor_rational,
+    verify_matrix_factorization,
     verify_scalar,
 )
 from whsymm.symbols import split_by_circle
 
-from conftest import richer_symbol
+from conftest import random_symbol, richer_symbol
 
 
 def planted_symbol(rng):
@@ -185,18 +188,18 @@ class TestVerifyScalar:
         swapped = type(fac)(minus=fac.plus, index=fac.index, plus=fac.minus)
         report = verify_scalar(s, swapped)
         failed = {c.name for c in report.checks if not c.passed}
-        assert "minus_analytic_outside" in failed
-        assert "plus_analytic_inside" in failed
+        assert "minus_entries_analytic" in failed
+        assert "plus_entries_analytic" in failed
 
     def test_catches_wrong_index(self):
         s, fac = self.good()
         bumped = type(fac)(minus=fac.minus, index=fac.index + 1, plus=fac.plus)
         report = verify_scalar(s, bumped)
         failed = {c.name for c in report.checks if not c.passed}
-        assert "index" in failed and "reconstruction" in failed
+        assert "index_sum" in failed and "reconstruction" in failed
 
     def test_index_check_does_not_trust_winding_index(self, monkeypatch):
-        # the index check reads the target's own samples, so a
+        # the index check counts the target's own zeros, so a
         # winding_index that agrees with a wrong index does not pass it
         from whsymm import scalar, symbols
 
@@ -204,9 +207,9 @@ class TestVerifyScalar:
         bumped = type(fac)(minus=fac.minus, index=fac.index + 1, plus=fac.plus)
         for module in (scalar, symbols):
             monkeypatch.setattr(module, "winding_index", lambda _s: bumped.index)
-        index = next(c for c in verify_scalar(s, bumped).checks if c.name == "index")
-        assert not index.passed and "disagrees with the index" in index.detail
-        index = next(c for c in verify_scalar(s, fac).checks if c.name == "index")
+        index = next(c for c in verify_scalar(s, bumped).checks if c.name == "index_sum")
+        assert not index.passed
+        index = next(c for c in verify_scalar(s, fac).checks if c.name == "index_sum")
         assert index.passed
 
     def test_catches_denormalized_minus(self):
@@ -228,6 +231,68 @@ class TestVerifyScalar:
             plus=RationalSymbol.from_poly(LaurentPoly.from_roots(outside)),
         )
         report = verify_scalar(s, fac)
-        index = next(c for c in report.checks if c.name == "index")
-        assert not index.passed and "disagrees" in index.detail
-        assert all(c.passed for c in report.checks if c.name != "index")
+        index = next(c for c in report.checks if c.name == "index_sum")
+        assert not index.passed and "nearly vanishes" in index.detail
+        assert all(c.passed for c in report.checks if c.name != "index_sum")
+
+    @pytest.mark.parametrize("d", [1e-5, 1e-6, 1e-7])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_simple_zero_near_the_circle_passes(self, d, side):
+        # 2 (t - a)(t - 1.7) / (t - 0.3i) with |a| = 1 -+ d: the sampled
+        # winding of the target would need more than 2^17 points, the
+        # eigenvalue count of its simple zero needs none
+        a = (1.0 + side * d) * np.exp(0.8j)
+        pole = LaurentPoly.from_roots([0.3j])
+        s = RationalSymbol(LaurentPoly.from_roots([a, 1.7], 2.0), pole)
+        if side < 0:
+            fac = ScalarFactorization(
+                minus=RationalSymbol(LaurentPoly.from_roots([a]), pole),
+                index=0,
+                plus=RationalSymbol.from_poly(LaurentPoly.from_roots([1.7], 2.0)),
+            )
+        else:
+            fac = ScalarFactorization(
+                minus=RationalSymbol(LaurentPoly.monomial(1), pole),
+                index=-1,
+                plus=RationalSymbol.from_poly(LaurentPoly.from_roots([a, 1.7], 2.0)),
+            )
+        report = verify_scalar(s, fac)
+        assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize(
+        "case, name, detail",
+        [
+            ("plus zero at 0", "det_plus_invertible", ""),
+            ("minus zero at infinity", "det_minus_invertible", ""),
+            ("zero minus", "det_minus_invertible", "det nearly vanishes"),
+            ("zero plus", "det_plus_invertible", "det nearly vanishes"),
+        ],
+    )
+    def test_determinant_checks_are_not_vacuous(self, case, name, detail):
+        s, fac = self.good()
+        bad = {
+            "plus zero at 0": ScalarFactorization(
+                fac.minus, fac.index - 1, fac.plus * RationalSymbol.monomial(1)
+            ),
+            "minus zero at infinity": ScalarFactorization(
+                fac.minus * RationalSymbol.monomial(-1), fac.index + 1, fac.plus
+            ),
+            "zero minus": ScalarFactorization(RationalSymbol.zero(), fac.index, fac.plus),
+            "zero plus": ScalarFactorization(fac.minus, fac.index, RationalSymbol.zero()),
+        }[case]
+        check = next(c for c in verify_scalar(s, bad).checks if c.name == name)
+        assert not check.passed and detail in check.detail
+
+    def test_one_path_with_the_matrix_verifier(self):
+        # the scalar report is the 1 x 1 matrix report plus the
+        # normalization check, and nothing else
+        rng = np.random.default_rng(3030_04)
+        for _ in range(50):
+            s = random_symbol(rng)
+            fac = factor_rational(s)
+            one = MatrixFactorization(
+                RationalMatrix([[fac.minus]]), (fac.index,), RationalMatrix([[fac.plus]])
+            )
+            checks = verify_scalar(s, fac).checks
+            assert checks[:-1] == verify_matrix_factorization(RationalMatrix([[s]]), one).checks
+            assert checks[-1].name == "minus_normalized_at_infinity"
