@@ -1,7 +1,9 @@
 """Dense matrices with rational-symbol entries.
 
 Kept deliberately small: matrix product, product with constant complex
-matrices, grid evaluation, and an exact determinant.  Determinants are
+matrices, grid evaluation, and an exact determinant.  A matrix built
+from constants, blocks or diagonal entries keeps only its pieces, and
+grid evaluation and the verifier read those.  Determinants are
 expanded by minors with memoization on column subsets; sums of terms
 whose entries share a denominator stay over that denominator, which is
 what keeps determinant degrees under control for the block matrices
@@ -22,17 +24,17 @@ from .symbols import CircleGrid, LaurentPoly, RationalSymbol, Zero
 class RationalMatrix:
     """Rectangular matrix of RationalSymbol entries.
 
-    ``pieces`` records how a square matrix was built, when it was built
-    from square pieces whose determinants multiply to its own: the
-    constant C and the matrix of ``const_mul_left`` and
-    ``const_mul_right``, the blocks of ``block_diag`` and the entries of
-    ``diag``, each piece once per occurrence.  A piece is a constant
-    array, a RationalMatrix or a RationalSymbol (a 1 x 1 piece).  It is
-    None for a matrix given by its rows, and ``RationalMatrix(m.rows)``
-    is a copy of m without it.
+    ``pieces`` records how a square matrix was built from square pieces
+    whose determinants multiply to its own: (C, A) for ``const_mul_left``
+    with a constant C, (A, C) for ``const_mul_right``, the blocks of
+    ``block_diag`` and the entries of ``diag`` (1 x 1 pieces), each once
+    per occurrence.  It is the one record kept: such a matrix builds its
+    ``rows`` from it the first time they are read.  ``pieces`` is None
+    for a matrix given by its rows; ``RationalMatrix(m.rows)`` is a copy
+    of m without it.
     """
 
-    __slots__ = ("rows", "shape", "pieces")
+    __slots__ = ("_rows", "shape", "pieces")
 
     def __init__(self, rows) -> None:
         rows = [list(r) for r in rows]
@@ -45,9 +47,27 @@ class RationalMatrix:
             for e in r:
                 if not isinstance(e, RationalSymbol):
                     raise TypeError(f"entries must be RationalSymbol, got {type(e).__name__}")
-        self.rows = rows
+        self._rows = rows
         self.shape = (len(rows), width)
         self.pieces = None
+
+    @staticmethod
+    def _built_from(shape: tuple[int, int], *pieces) -> "RationalMatrix":
+        """The matrix built from ``pieces``, recorded when all of them
+        are square, else with its rows built now and no record."""
+        if not pieces:
+            raise ValueError("matrix must be nonempty")
+        out = RationalMatrix.__new__(RationalMatrix)
+        out._rows, out.shape, out.pieces = None, shape, pieces
+        if not all(isinstance(p, RationalSymbol) or p.shape[0] == p.shape[1] for p in pieces):
+            out._rows, out.pieces = _rows_from(out), None
+        return out
+
+    @property
+    def rows(self) -> list[list[RationalSymbol]]:
+        if self._rows is None:
+            self._rows = _rows_from(self)
+        return self._rows
 
     def __getitem__(self, ij):
         i, j = ij
@@ -60,13 +80,8 @@ class RationalMatrix:
     @staticmethod
     def diag(entries) -> "RationalMatrix":
         """Square matrix with the given diagonal and Zero elsewhere."""
-        entries = list(entries)
-        n = len(entries)
-        out = RationalMatrix(
-            [[e if i == j else Zero for j in range(n)] for i, e in enumerate(entries)]
-        )
-        out.pieces = tuple(entries)
-        return out
+        entries = tuple(entries)
+        return RationalMatrix._built_from((len(entries), len(entries)), *entries)
 
     @staticmethod
     def from_const(mat) -> "RationalMatrix":
@@ -78,14 +93,7 @@ class RationalMatrix:
     @staticmethod
     def block_diag(blocks: list["RationalMatrix"]) -> "RationalMatrix":
         n = sum(b.shape[0] for b in blocks)
-        rows = [[Zero] * n for _ in range(n)]
-        off = 0
-        for b in blocks:
-            for i in range(b.shape[0]):
-                for j in range(b.shape[1]):
-                    rows[off + i][off + j] = b.rows[i][j]
-            off += b.shape[0]
-        return RationalMatrix(rows)._built_from(*blocks)
+        return RationalMatrix._built_from((n, n), *blocks)
 
     def transpose(self) -> "RationalMatrix":
         r, c = self.shape
@@ -112,22 +120,14 @@ class RationalMatrix:
         m = np.asarray(mat, dtype=complex)
         if m.shape[1] != self.shape[0]:
             raise ValueError(f"shape mismatch {m.shape} @ {self.shape}")
-        cols = [_combined_copies(col, m.T) for col in zip(*self.rows)]
-        return RationalMatrix(zip(*cols))._built_from(m, self)
+        return RationalMatrix._built_from((m.shape[0], self.shape[1]), m, self)
 
     def const_mul_right(self, mat) -> "RationalMatrix":
         """Product self @ C with a constant complex matrix C."""
         m = np.asarray(mat, dtype=complex)
         if m.shape[0] != self.shape[1]:
             raise ValueError(f"shape mismatch {self.shape} @ {m.shape}")
-        rows = [_combined_copies(row, m) for row in self.rows]
-        return RationalMatrix(rows)._built_from(self, m)
-
-    def _built_from(self, *pieces) -> "RationalMatrix":
-        """self with ``pieces`` recorded when all of them are square."""
-        if all(p.shape[0] == p.shape[1] for p in pieces):
-            self.pieces = pieces
-        return self
+        return RationalMatrix._built_from((self.shape[0], m.shape[1]), self, m)
 
     def eval_grid(self, grid: CircleGrid | np.ndarray) -> np.ndarray:
         """Evaluate entrywise; returns an array of shape (N, rows, cols)."""
@@ -170,67 +170,106 @@ class RationalMatrix:
         return f"RationalMatrix({self.shape[0]}x{self.shape[1]})"
 
 
-def _combined_copies(line, c: np.ndarray) -> list[RationalSymbol]:
-    """[sum_p c[p, k] * line[p] for each column k of c].
+def _rows_from(m: RationalMatrix) -> list[list[RationalSymbol]]:
+    """The rows of a matrix with a record: C @ A for (C, A), A @ C for
+    (A, C), else its pieces on the diagonal (layout) and Zero elsewhere."""
+    product = _const_factor(m.pieces)
+    if product is not None:
+        c, a, left = product
+        if left:
+            return [list(r) for r in zip(*(_combined(col, c.T) for col in zip(*a.rows)))]
+        return [_combined(row, c) for row in a.rows]
+    n = m.shape[0]
+    rows = [[Zero] * n for _ in range(n)]
+    for pos, e in layout(m)[1].items():
+        rows[pos // n][pos % n] = e
+    return rows
 
-    Each nonzero entry of the line makes all its scaled copies in one
-    ``scaled_copies`` call, and each sum adds them in ascending p.  Zero
-    entries and zero factors are skipped (Zero + x returns x, so the
-    first entry's copies are taken as they are), so every sum is the
-    same object-for-object as the full n-term loop of ``scale`` and
-    ``+``.
-    """
-    acc = None
-    for p, e in enumerate(line):
-        if not e.is_zero:
-            copies = e.scaled_copies(c[p])
-            acc = copies if acc is None else [a + b for a, b in zip(acc, copies)]
-    return [Zero] * c.shape[1] if acc is None else acc
+
+def _combined(line, c: np.ndarray) -> list[RationalSymbol]:
+    """[sum_p c[p, k] * line[p] for each column k of c]: the n-term loop of
+    ``scale`` and ``+`` in ascending p, skipping zero entries and factors
+    (Zero + x returns x), each copy over its entry's own denominator and
+    span with coefficients ``coeffs * c``, not put in canonical form again."""
+    acc = [Zero] * c.shape[1]
+    for e, factors in zip(line, c):
+        for k, f in enumerate(() if e.is_zero else factors.tolist()):
+            if f != 0:
+                copy = RationalSymbol.__new__(RationalSymbol)
+                copy.num, copy.den = LaurentPoly.__new__(LaurentPoly), e.den
+                copy.num.min_deg, copy.num.coeffs, copy.num._roots = e.num.min_deg, e.num.coeffs * f, None
+                acc[k] = acc[k] + copy
+    return acc
+
+
+def layout(m: RationalMatrix):
+    """(consts, cells, diagonal): m's record read as constant factors,
+    (C, True) on the left and (C, False) on the right, outermost first,
+    around a core of ``diag`` entries and ``block_diag`` blocks.
+    ``cells`` maps the flat position of each core entry that is nonzero
+    to it, read from the rows of a block with no record or a product's;
+    ``diagonal``: every such block is 1 x 1 and has no record."""
+    consts = []
+    while (product := _const_factor(m.pieces)) is not None:
+        c, m, left = product
+        consts.append((c, left))
+    width = m.shape[1]
+    cells: dict[int, RationalSymbol] = {}
+    diagonal = True
+
+    def place(piece, off: int) -> int:
+        nonlocal diagonal
+        if isinstance(piece, RationalSymbol):
+            if not piece.is_zero:
+                cells[off * width + off] = piece
+            return 1
+        if piece.pieces is not None and _const_factor(piece.pieces) is None:
+            for p in piece.pieces:
+                off += place(p, off)
+            return piece.shape[0]
+        diagonal = diagonal and piece.pieces is None and piece.shape == (1, 1)
+        for i, row in enumerate(piece.rows):
+            for j, e in enumerate(row):
+                if not e.is_zero:
+                    cells[(off + i) * width + off + j] = e
+        return piece.shape[0]
+
+    place(m, 0)
+    return consts, cells, diagonal
 
 
 class GridEvaluator:
-    """Pointwise evaluation plan for one RationalMatrix.
-
-    The plan evaluates each distinct source entry once and each distinct
-    denominator once, by Horner's rule over all of them together, then
-    gathers the values into a contiguous (N, rows, cols) buffer.  An
-    entry made by ``RationalSymbol.scale`` is its source's values times
-    its factor (the stitched factors of an abelian group have n sources
-    for n^2 entries); every other entry is its own source, evaluated with
-    the arithmetic of ``eval_on_grid``.  Built once per matrix, it can
-    then be applied to any number of point arrays.  It reads the entries
-    alone; a determinant is taken from the matrix's record of how it was
-    built (``pieces``), by the verifier.
+    """Pointwise evaluation plan for one RationalMatrix, read from its
+    record (``layout``): the samples of the core, times each constant C
+    of C A or A C from the innermost out.  The core's entries are
+    evaluated together, each distinct entry and each distinct
+    denominator once, by Horner's rule with the arithmetic of
+    ``eval_on_grid``, and gathered into a contiguous (N, rows, cols)
+    buffer; a denominator that vanishes at a point raises
+    PoleOnGridError.  Built once per matrix, a plan can then be applied
+    to any number of point arrays.
     """
 
-    __slots__ = ("shape", "where", "factor", "horner", "runs", "den_floor")
+    __slots__ = ("shape", "consts", "diagonal", "where", "horner", "runs", "den_floor")
 
     def __init__(self, m: RationalMatrix) -> None:
-        based = [None if e.is_zero else e._base or (e, 1.0) for row in m.rows for e in row]
-        distinct: dict[int, RationalSymbol] = {}
-        for b in based:
-            if b is not None:
-                distinct.setdefault(id(b[0]), b[0])
-        dens: dict[bytes, np.ndarray] = {}
-        for e in distinct.values():
-            dens.setdefault(e.den.coeffs.tobytes(), e.den.coeffs)
+        self.shape = m.shape
+        self.consts, cells, diagonal = layout(m)
+        self.diagonal = diagonal and bool(self.consts)
+        distinct = {id(e): e for e in cells.values()}
+        dens = {e.den.coeffs.tobytes(): e.den.coeffs for e in distinct.values()}
         den_slot = {key: d for d, key in enumerate(dens)}
 
         def group(e: RationalSymbol) -> tuple[int, int]:
             return den_slot[e.den.coeffs.tobytes()], e.num.min_deg
 
-        # Columns: the distinct sources grouped by denominator and power
+        # Columns: the distinct entries grouped by denominator and power
         # of t, then one zero column, then the distinct denominators.
         entries = sorted(distinct.values(), key=group)
         zero = len(entries)
         slot = {id(e): u for u, e in enumerate(entries)}
-        self.shape = m.shape
-        self.where = np.array(
-            [zero if b is None else slot[id(b[0])] for b in based], dtype=np.intp
-        )
-        factor = np.array([1.0 if b is None else b[1] for b in based], dtype=complex)
-        # with every factor 1 the gather alone is the result, bit for bit
-        self.factor = None if np.all(factor == 1.0) else factor
+        self.where = np.full(m.shape[0] * m.shape[1], zero, dtype=np.intp)
+        self.where[list(cells)] = [slot[id(e)] for e in cells.values()]
         self.runs: list[tuple[int, int, int, int]] = []  # (power, den column, lo, hi)
         lo = 0
         for (d, k), run in itertools.groupby(entries, key=group):
@@ -251,9 +290,9 @@ class GridEvaluator:
     @property
     def bytes_per_point(self) -> int:
         """Bytes held per evaluation point while a call runs: the Horner
-        table over the plan's columns, the pole test, and the output
-        buffer, which the factors scale in place."""
-        return 16 * (self.where.size + self.horner.shape[1] + self.den_floor.size + 2)
+        table over the plan's columns, the pole test, the output buffer
+        and one product with each constant."""
+        return 16 * (self.where.size * (1 + len(self.consts)) + self.horner.shape[1] + self.den_floor.size + 2)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=complex).reshape(-1)
@@ -272,8 +311,25 @@ class GridEvaluator:
             if k != 0:
                 acc[lo:hi] *= pts**k
             acc[lo:hi] /= acc[d]
-        # C order, points first, so that a product of samples reads them contiguously
-        out = np.take(acc.T, self.where, axis=1)
-        if self.factor is not None:
-            out *= self.factor
-        return out.reshape(pts.size, *self.shape)
+        consts = self.consts
+        if self.diagonal:
+            # C diag(v) scales the columns of C (diag(v) C its rows), so
+            # each sample is C_ij v_j, with no sum
+            v = np.take(acc.T, self.where[:: self.shape[1] + 1], axis=1)
+            c, left = consts[-1]
+            out, consts = (v[:, None, :] * c if left else v[:, :, None] * c), consts[:-1]
+        else:
+            # C order, points first, so that a product of samples reads them contiguously
+            out = np.take(acc.T, self.where, axis=1).reshape(pts.size, *self.shape)
+        for c, left in reversed(consts):
+            out = c @ out if left else out @ c
+        return out
+
+
+def _const_factor(pieces) -> tuple[np.ndarray, RationalMatrix, bool] | None:
+    """(C, A, left) when ``pieces`` record C A (left) or A C, else None."""
+    if pieces is not None and isinstance(pieces[0], np.ndarray):
+        return pieces[0], pieces[1], True
+    if pieces is not None and isinstance(pieces[-1], np.ndarray):
+        return pieces[-1], pieces[0], False
+    return None

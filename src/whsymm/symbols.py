@@ -176,21 +176,15 @@ class RationalSymbol:
     The denominator is an ordinary polynomial with nonzero constant term
     and leading coefficient exactly 1; any power of t and any overall
     scale is folded into the numerator.  The zero symbol is 0/1.
-
-    A symbol made by ``scale`` or ``scaled_copies`` remembers its source: ``_base`` is
-    (source, factor) with the symbol equal to factor * source, so a grid
-    evaluation can evaluate the source once for all its scaled copies.
-    It is None for every other symbol.
     """
 
-    __slots__ = ("num", "den", "_base")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None) -> None:
         if den is None:
             den = _ONE
         if den.is_zero:
             raise SymbolDivisionError("denominator is identically zero")
-        self._base = None
         if num.is_zero:
             self.num = LaurentPoly.zero()
             self.den = _ONE
@@ -272,38 +266,7 @@ class RationalSymbol:
         return RationalSymbol(self.num * other.den, self.den * other.num)
 
     def scale(self, c) -> "RationalSymbol":
-        if c == 0 or self.is_zero:
-            return RationalSymbol.zero()
-        out = RationalSymbol(self.num.scale(c), self.den)
-        if not out.is_zero:
-            # a scaled copy of a scaled copy folds into one factor
-            source, factor = self._base or (self, 1.0)
-            out._base = (source, factor * complex(c))
-        return out
-
-    def scaled_copies(self, factors) -> list["RationalSymbol"]:
-        """``[self.scale(c) for c in factors]``, each copy built directly.
-
-        A copy shares this symbol's denominator and numerator span, and
-        its coefficients are computed as ``scale`` computes them, so
-        nothing is trimmed or put in canonical form again; only the
-        numerator's coefficient array is new.
-        """
-        factors = np.asarray(factors, dtype=complex).tolist()
-        if self.is_zero:
-            return [Zero] * len(factors)
-        source, factor = self._base or (self, 1.0)
-        out = []
-        for c in factors:
-            if c == 0:
-                out.append(Zero)
-                continue
-            num = LaurentPoly.__new__(LaurentPoly)
-            num.min_deg, num.coeffs, num._roots = self.num.min_deg, self.num.coeffs * c, None
-            copy = RationalSymbol.__new__(RationalSymbol)
-            copy.num, copy.den, copy._base = num, self.den, (source, factor * c)
-            out.append(copy)
-        return out
+        return RationalSymbol(self.num.scale(c), self.den)
 
     def shift(self, k: int) -> "RationalSymbol":
         """Multiply by t**k."""
@@ -334,8 +297,7 @@ class RationalSymbol:
         return f"RationalSymbol({self.num!r} / {self.den!r})"
 
 
-# one zero symbol shared by scaled_copies and the matrices of ratmat;
-# nothing writes to a symbol after building it
+# one zero symbol shared by ratmat's matrices; no symbol is written after it is built
 Zero = RationalSymbol.zero()
 
 

@@ -26,10 +26,10 @@ The rest of the verifier reads the record of a factorization whose
 minus is recorded as C diag(s-) and whose plus as diag(s+) C'
 (_leaf_form): every stitched factor of an abelian group or a center
 symbol, and of a nonabelian group whose blocks all factor diagonally.
-Its entries are the scaled copies C_ij s_j, so reconstruction is
-C diag(s- t^d s+) C', one matrix product per chunk of points, and the
-entry checks read the 2n leaves s.  Everything else, every parsed
-document among it, is checked through its n^2 entries.
+Reconstruction is then C diag(s- t^d s+) C', one matrix product per
+chunk of points, and the entry checks read the 2n leaves s.  Every
+other factor, every parsed document among them, is checked through its
+n^2 entries, evaluated from its record where it has one (GridEvaluator).
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvertibleOnCircleError, UndersampledError, WhsymmError
-from .ratmat import GridEvaluator, RationalMatrix
+from .ratmat import GridEvaluator, RationalMatrix, layout
 from .symbols import (
     CircleGrid,
     RationalSymbol,
+    Zero,
     certified_winding,
     inside_excess,
     outside_excess,
@@ -211,35 +212,15 @@ def _det_parts(m: RationalMatrix) -> tuple[float, list[tuple[RationalMatrix, int
 
 def _leaf_form(m: RationalMatrix, left: bool) -> tuple[np.ndarray, list[RationalSymbol]] | None:
     """(C, s) when m's record is C diag(s) (``left``, as a stitched minus
-    is built) or diag(s) C (as a stitched plus is), else None.
-
-    diag(s) is any matrix whose record flattens to a diagonal: the blocks
-    of ``block_diag``, the entries of ``diag`` and 1 x 1 matrices, in
-    order.  Each entry of m is then the scaled copy C_ij s_j (or s_i C_ij)
-    that ``const_mul_left`` (``const_mul_right``) made, and GridEvaluator
-    gives it as s_j(t) C_ij, so a leaf's samples times C are m's samples,
-    bit for bit when the leaf is not itself a scaled copy."""
-
-    def diagonal(piece) -> list[RationalSymbol] | None:
-        if isinstance(piece, RationalSymbol):
-            return [piece]
-        if not isinstance(piece, RationalMatrix):
-            return None
-        if piece.pieces is None:
-            return [piece.rows[0][0]] if piece.shape == (1, 1) else None
-        out = []
-        for sub in piece.pieces:
-            leaves = diagonal(sub)
-            if leaves is None:
-                return None
-            out.extend(leaves)
-        return out
-
-    if m.pieces is None or len(m.pieces) != 2:
+    is built) or diag(s) C (as a stitched plus is), else None; diag(s)
+    is a diagonal core (ratmat.layout).  GridEvaluator gives m's samples
+    as the samples of s times C, entry by entry with no sum, so they are
+    the same on either path."""
+    consts, cells, diagonal = layout(m)
+    if not diagonal or len(consts) != 1 or consts[0][1] != left:
         return None
-    c, inner = m.pieces if left else m.pieces[::-1]
-    leaves = diagonal(inner) if isinstance(c, np.ndarray) else None
-    return None if leaves is None else (c, leaves)
+    n = m.shape[0]
+    return consts[0][0], [cells.get(i * (n + 1), Zero) for i in range(n)]
 
 
 def _triangular(m: RationalMatrix) -> bool:
@@ -535,7 +516,7 @@ def _reconstruction_chunks(target: RationalMatrix, minus, d, plus, pts: np.ndarr
     _CHUNK_BYTES working memory, as in _det_winding, so that no (N, n, n)
     array is held whole; each sample is the one the whole grid gives.
     Factors in _leaf_form are evaluated from their 2n leaves, whose
-    (N, n) diagonal is formed once, others from their n^2 entries."""
+    (N, n) diagonal is formed once, others by their GridEvaluator."""
     n = len(d)
     ta = GridEvaluator(target)
     powers = _powers(pts, d)
@@ -581,10 +562,10 @@ def verify_matrix_factorization(
 
     def worst(m: RationalMatrix, violation, left: bool):
         # a violation reads only the denominator and the numerator's
-        # degree span, so the scaled copies of one source share a value;
-        # a later duplicate never changes the running max.  A factor in
-        # _leaf_form has its leaves' violations, for every leaf with a
-        # nonzero column (row) of C; its other entries are zero
+        # degree span, so the copies of one entry in the rows of C A share
+        # a value; a later duplicate never changes the running max.  A
+        # factor in _leaf_form has its leaves' violations, for every leaf
+        # with a nonzero column (row) of C; its other entries are zero
         form = _leaf_form(m, left)
         if form is None:
             entries = [e for row in m.rows for e in row]

@@ -16,9 +16,11 @@ from whsymm import (
     GroupSymbol,
     LaurentPoly,
     RationalSymbol,
+    RationalMatrix,
     block_diagonalize,
     build_group,
     conjugacy_classes,
+    irreps_for,
     poly_roots,
 )
 
@@ -111,3 +113,20 @@ def dominant_cyclic_symbol(n, seed):
         for _ in range(n - 1)
     ]
     return GroupSymbol(build_group({"kind": "cyclic", "n": n}), [lead] + small)
+
+
+def planted_blocks(spec, seed, corner=None):
+    """Random blocks Lambda_k for the irreps of a catalog group.  Every
+    block is diagonal, but for corner="upper" each 2 x 2 block gets an
+    upper-right entry, and for corner="lower" a lower-left one."""
+    repset = irreps_for(build_group(spec))
+    rng = np.random.default_rng(seed)
+    z = RationalSymbol.zero()
+    blocks = []
+    for deg in repset.degrees:
+        rows = [[random_symbol(rng) if i == j else z for j in range(deg)] for i in range(deg)]
+        if deg == 2 and corner is not None:
+            i, j = (0, 1) if corner == "upper" else (1, 0)
+            rows[i][j] = random_symbol(rng)
+        blocks.append(RationalMatrix(rows))
+    return repset, blocks

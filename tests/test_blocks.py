@@ -43,7 +43,7 @@ from whsymm import (
     winding_index,
 )
 
-from whsymm import blocks
+from whsymm import blocks, ratmat
 from whsymm.blocks import assemble_full_factorization
 
 from conftest import (
@@ -313,6 +313,15 @@ class TestCommonDen:
         fac = assemble_full_factorization(bd, factors, fourier_matrix(rs))
         assert calls == []
         assert fac.minus.shape == fac.plus.shape == (32, 32)
+        # factoring and verifying read the stitched factors' record and
+        # never build their rows
+        monkeypatch.undo()
+        build = ratmat._rows_from
+        monkeypatch.setattr(ratmat, "_rows_from", lambda m: calls.append("rows") or build(m))
+        fac = factor_group_symbol(gs)
+        assert verify_matrix_factorization(assemble_matrix(gs), fac).passed
+        assert calls == []
+        assert len(fac.minus.rows) == 32 and "rows" in calls
 
 
 class TestConvolve:

@@ -8,11 +8,24 @@ computation on sampled values.
 import numpy as np
 import pytest
 
-from whsymm import CircleGrid, LaurentPoly, PoleOnGridError, RationalMatrix, RationalSymbol
+from whsymm import (
+    CATALOG,
+    CircleGrid,
+    LaurentPoly,
+    PoleOnGridError,
+    RationalMatrix,
+    RationalSymbol,
+    build_group,
+    center_factorize,
+    factor_block,
+    factor_group_symbol,
+    fourier_matrix,
+)
+from whsymm.blocks import BlockDiagonal, assemble_full_factorization
 from whsymm.ratmat import GridEvaluator, Zero
 from whsymm.symbols import eval_on_grid
 
-from conftest import random_symbol
+from conftest import dominant_cyclic_symbol, planted_blocks, random_center_symbol, random_symbol
 
 
 def random_matrix(rng, r, c):
@@ -83,7 +96,11 @@ class TestArithmetic:
             random_matrix(rng, 2, 3) @ random_matrix(rng, 2, 3)
 
     def test_const_mul_matches_full_loop_on_block_diagonal(self):
-        # the n-term sums, zero terms included, as a plain reference
+        # rows built from the record are the n-term sums of scale and +,
+        # zero terms included, as a plain reference: on a random block
+        # diagonal, on the stitched factors of every catalog group (from
+        # planted blocks, triangular and swapped ones among them) and
+        # every catalog center symbol, and on those of cyclic(32)
         def left(c, m):
             out = [[Zero] * m.shape[1] for _ in range(c.shape[0])]
             for i in range(c.shape[0]):
@@ -93,15 +110,43 @@ class TestArithmetic:
                             out[i][j] = out[i][j] + m[p, j].scale(c[i, p])
             return out
 
+        def products(m):
+            # every matrix in m's record, m included, that is recorded as
+            # a product with a constant
+            p = m.pieces or ()
+            here = [m] if any(isinstance(x, np.ndarray) for x in p) else []
+            return here + [y for x in p if isinstance(x, RationalMatrix) for y in products(x)]
+
         rng = np.random.default_rng(5050_10)
         m = RationalMatrix.block_diag(
             [random_matrix(rng, 2, 2), random_matrix(rng, 1, 1), random_matrix(rng, 2, 2)]
         )
         c = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         c[1, 3] = c[4, 0] = 0.0
-        assert m.const_mul_left(c).rows == left(c, m)
-        want_right = left(c.T, m.transpose())
-        assert m.const_mul_right(c).transpose().rows == want_right
+        factors = [m.const_mul_left(c), m.const_mul_right(c)]
+        for spec in CATALOG:
+            for corner in ("upper", "lower"):
+                repset, blocks = planted_blocks(spec, 5050_14, corner)
+                bd = BlockDiagonal(repset, tuple(blocks))
+                fac = assemble_full_factorization(bd, [factor_block(b) for b in blocks], fourier_matrix(repset))
+                factors += [fac.minus, fac.plus]
+            fac = center_factorize(random_center_symbol(build_group(spec), rng)).factorization
+            factors += [fac.minus, fac.plus]
+        fac = factor_group_symbol(dominant_cyclic_symbol(32, 5050))
+        factors += [fac.minus, fac.plus]
+        checked = 0
+        for f in factors:
+            for x in products(f):
+                if isinstance(x.pieces[0], np.ndarray):
+                    want = left(x.pieces[0], x.pieces[1])
+                else:
+                    want = RationalMatrix(left(x.pieces[1].T, x.pieces[0].transpose())).transpose().rows
+                got = x.rows
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g == w
+                checked += 1
+        assert checked > len(factors)
 
     def test_const_mul_both_sides(self):
         rng = np.random.default_rng(5050_05)
@@ -170,30 +215,33 @@ class TestEvaluation:
                 want = np.array([[eval_on_grid(e, pts) for e in row] for row in mat.rows])
                 assert np.array_equal(mat.eval_grid(pts), np.moveaxis(want, 2, 0))
 
-    def test_scaled_entries_evaluate_from_their_source(self):
-        # factor times the source's values, against each entry's own
-        # coefficients through eval_on_grid
+    def test_recorded_matrices_evaluate_from_their_pieces(self):
+        # C A and A C as the samples of A times C, blocks and diag
+        # entries in place, also nested, against each entry's own
+        # coefficients through eval_on_grid, within the roundoff of the
+        # products' sums
         rng = np.random.default_rng(5050_12)
         m = RationalMatrix.block_diag(
             [random_matrix(rng, 2, 2), random_matrix(rng, 1, 1), random_matrix(rng, 2, 2)]
         )
         c = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        swapped = random_matrix(rng, 2, 2).const_mul_left(c[:2, :2]).const_mul_right(c[2:4, 2:4])
         a, b = m[0, 0], m[2, 2]
-        chained = RationalMatrix.diag(
-            [a.scale(2.0 + 1.0j).scale(-0.3j), b.scale(1e-3), a.scale(3.0), b, Zero]
+        entries = RationalMatrix.diag([a.scale(2.0 + 1.0j), b, a, b, Zero])
+        nested = RationalMatrix.block_diag([swapped, entries, swapped]).const_mul_right(
+            np.kron(np.eye(3), c[:3, :3])
         )
-        for mat in (m.const_mul_left(c), m.const_mul_right(c), chained):
-            ev = GridEvaluator(mat)
-            assert ev.factor is not None
+        for mat in (m, m.const_mul_left(c), m.const_mul_right(c), entries, nested):
             for pts in (CircleGrid(64).points, np.array([0.3, 2.0, 0.5j, -1.7])):
-                want = np.array([[eval_on_grid(e, pts) for e in row] for row in mat.rows])
-                want = np.moveaxis(want, 2, 0)
-                got = ev(pts)
-                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        # the two sources a and b of the chained matrix, the zero column
-        # and the denominators
-        dens = {e.den.coeffs.tobytes() for e in (a, b)}
-        assert GridEvaluator(chained).horner.shape[1] == 2 + 1 + len(dens)
+                want = np.moveaxis(np.array([[eval_on_grid(e, pts) for e in row] for row in mat.rows]), 2, 0)
+                got = GridEvaluator(mat)(pts)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # the plan of C A evaluates A's distinct entries, one zero column
+        # and the distinct denominators
+        for mat in (m, m.const_mul_left(c)):
+            live = {id(e): e for row in m.rows for e in row if not e.is_zero}
+            dens = {e.den.coeffs.tobytes() for e in live.values()}
+            assert GridEvaluator(mat).horner.shape[1] == len(live) + 1 + len(dens)
 
     def test_samples_are_points_first_in_c_order(self):
         # a product of samples reads each point's matrix contiguously

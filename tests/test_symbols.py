@@ -195,37 +195,6 @@ class TestRationalSymbol:
             assert np.allclose(x.shift(-2)(pts), fx * pts**-2, atol=1e-8)
             assert np.allclose(x.scale(1j)(pts), 1j * fx)
 
-    def test_scale_remembers_its_source(self):
-        x = RationalSymbol(LaurentPoly(-1, [1.0, 2.0j]), LaurentPoly.from_roots([0.5]))
-        assert x._base is None
-        y = x.scale(2.0)
-        assert y._base[0] is x and y._base[1] == 2.0
-        # a chained scale folds into one factor on the first source
-        z = y.scale(-1j)
-        assert z._base[0] is x and z._base[1] == -2.0j
-        assert z == RationalSymbol(LaurentPoly(-1, [-2.0j, 4.0]), x.den)
-        assert x.scale(0.0)._base is None and (x + y)._base is None
-
-    def test_scaled_copies_equal_scale(self):
-        # equal to scale, bit for bit and source included, also for
-        # copies of a copy, of the zero symbol and by zero factors
-        rng = np.random.default_rng(7070_01)
-        for draw in range(300):
-            x = random_symbol(rng)
-            if draw % 3 == 1:
-                x = x.scale(complex(rng.normal(), rng.normal()))
-            elif draw % 50 == 2:
-                x = RationalSymbol.zero()
-            f = rng.normal(size=6) + 1j * rng.normal(size=6)
-            f[rng.random(6) < 0.3] = 0.0
-            got, want = x.scaled_copies(f), [x.scale(c) for c in f]
-            assert got == want
-            for g, w in zip(got, want):
-                assert g.den is x.den or g.is_zero
-                assert g._base == w._base
-                if w._base is not None:
-                    assert g._base[0] is w._base[0]
-
     def test_rational_arith_dispatch(self):
         x = RationalSymbol.monomial(1)
         y = RationalSymbol.const(2.0)

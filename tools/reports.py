@@ -7,9 +7,11 @@
 For ``catalog-mix`` and ``cyclic-large`` it runs rounds 0 .. rounds-1
 of each seed in process and prints every job's name with the full text
 of each library verifier report it produced (``VerificationReport.
-to_text()``), or the error it raised.  For ``cli-batch`` it runs the
-round-0 jobs of each seed as ``python -m whsymm`` child processes and
-prints each job's exit code and the SHA-256 of its stdout.  Jobs come
+to_text()``) and the SHA-256 of the JSON document of each matrix
+factorization (``documents.serialize_factorization``), or the error it
+raised.  For ``cli-batch`` it runs the round-0 jobs of each seed as
+``python -m whsymm`` child processes and prints each job's exit code
+and the SHA-256 of its stdout.  Jobs come
 from the benchmark's own generator (``perfbench/inputs.py``) and run
 against the ``src`` tree of the checkout this file sits in.  Nothing is
 written but stdout, so the outputs of two checkouts compare with one
@@ -38,6 +40,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import whsymm  # noqa: E402
+from whsymm import documents  # noqa: E402
 from inputs import Generator  # noqa: E402
 from jobs import Runtime  # noqa: E402
 
@@ -60,6 +63,14 @@ def verdict_lines(out) -> list[str]:
     return lines
 
 
+def document_digest(fac) -> str:
+    """SHA-256 of a matrix factorization's JSON document."""
+    if isinstance(fac, whsymm.CenterFactorization):
+        fac = fac.factorization
+    text = documents.dumps(documents.serialize_factorization(fac))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def library_reports(seed: int, workload: str, rounds: int, verdicts: bool) -> None:
     gen = Generator(whsymm, seed)
     rt = Runtime(whsymm, ROOT, in_process=True)
@@ -75,10 +86,11 @@ def library_reports(seed: int, workload: str, rounds: int, verdicts: bool) -> No
             if verdicts:
                 print("\n".join(verdict_lines(out)))
                 continue
-            reports = [x for x in (out if isinstance(out, tuple) else (out,))
-                       if isinstance(x, whsymm.VerificationReport)]
-            for report in reports:
-                print(report.to_text())
+            for x in out if isinstance(out, tuple) else (out,):
+                if isinstance(x, whsymm.VerificationReport):
+                    print(x.to_text())
+                elif isinstance(x, (whsymm.MatrixFactorization, whsymm.CenterFactorization)):
+                    print(f"document_sha256={document_digest(x)}")
 
 
 def cli_digests(seed: int, verdicts: bool) -> None:
