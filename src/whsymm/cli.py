@@ -155,8 +155,6 @@ def _build_job(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise DocumentError("--job: job document must be a JSON object")
         job.update(loaded)
-        job.update(loaded.get("options", {}))
-        job.pop("options", None)
     if args.mode:
         job["mode"] = args.mode
     for key in _PAYLOAD_KEYS:

@@ -14,6 +14,12 @@ document this package emits) depend on it.
     product     row-major: the first factor varies slowest
 
 Permutations compose right-to-left: (a.b)(x) = a(b(x)).
+
+q8 and a4 are each defined once, by a model that the representation
+module reads too: q8 by its elements as 2x2 complex quaternion matrices
+(``Q8_MATRICES``, also its degree-2 irrep), a4 by its permutations of
+the tetrahedron's vertices (``A4_PERMUTATIONS``, from which its
+rotation irrep follows).
 """
 
 from __future__ import annotations
@@ -25,8 +31,24 @@ import numpy as np
 from .errors import DocumentError, GroupConstructionError, UnsupportedGroupError, WhsymmError
 
 SIZE_CAP = 256
-EXHAUSTIVE_ASSOC_CAP = 64
-_ASSOC_SAMPLES = 200_000
+
+#: q8 in element order 1, -1, i, -i, j, -j, k, -k: signed copies of the
+#: units 1, i, j and k = ij, whose entries 0, +-1 and +-i multiply exactly
+_Q8_UNITS = ([[1, 0], [0, 1]], [[1j, 0], [0, -1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]])
+Q8_MATRICES = np.array([s * np.array(u) for u in _Q8_UNITS for s in (1, -1)], dtype=complex)
+Q8_MATRICES.flags.writeable = False
+
+#: a4 in element order, as images of the vertices 0..3
+A4_PERMUTATIONS = [
+    (0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0),  # e, (12)(34), (13)(24), (14)(23)
+    (1, 2, 0, 3), (2, 0, 1, 3), (1, 3, 2, 0), (3, 0, 2, 1),  # (123), (132), (124), (142)
+    (2, 1, 3, 0), (3, 1, 0, 2), (0, 2, 3, 1), (0, 3, 1, 2),  # (134), (143), (234), (243)
+]
+
+
+def _check_order(n: int) -> None:
+    if n > SIZE_CAP:
+        raise UnsupportedGroupError(f"group order {n} exceeds the cap of {SIZE_CAP}")
 
 
 class FiniteGroup:
@@ -34,9 +56,8 @@ class FiniteGroup:
 
     ``cayley[i, j]`` is the index of g_i * g_j.  The table is fully
     validated on construction: two-sided identity at index 0, Latin
-    square rows and columns, associativity (exhaustive up to order 64,
-    randomized-sampled above that), and two-sided inverses.  Orders
-    above 256 are rejected.
+    square rows and columns, associativity on every triple, and
+    two-sided inverses.  Orders above 256 are rejected.
     """
 
     __slots__ = ("cayley", "labels", "name", "spec", "order", "inverse", "label_index")
@@ -48,8 +69,7 @@ class FiniteGroup:
         n = table.shape[0]
         if n == 0:
             raise GroupConstructionError("empty Cayley table")
-        if n > SIZE_CAP:
-            raise UnsupportedGroupError(f"group order {n} exceeds the cap of {SIZE_CAP}")
+        _check_order(n)
         if table.min() < 0 or table.max() >= n:
             raise GroupConstructionError("Cayley entries must be element indices 0..n-1")
 
@@ -67,20 +87,21 @@ class FiniteGroup:
         if not np.all(np.sort(table, axis=0) == idx[:, None]):
             raise GroupConstructionError("some column is not a permutation (right translation fails)")
 
-        if n <= EXHAUSTIVE_ASSOC_CAP:
-            left = table[table, :]
-            right = table[np.arange(n)[:, None, None], table]
+        # every triple, one byte each, in steps of at most 2^18 triples
+        # (one step up to order 64): (g_i g_j) g_k against g_i (g_j g_k)
+        # for the rows i of a step
+        t = table.astype(np.min_scalar_type(n - 1))
+        step = max(1, 2**18 // (n * n))
+        for lo in range(0, n, step):
+            left = np.take(t, table[lo : lo + step], axis=0)
+            right = np.take(t[lo : lo + step], table, axis=1)
             if not np.array_equal(left, right):
                 i, j, k = map(int, np.argwhere(left != right)[0])
+                i += lo
                 raise GroupConstructionError(
                     f"associativity fails at ({i},{j},{k}): "
                     f"(g{i} g{j}) g{k} != g{i} (g{j} g{k})"
                 )
-        else:
-            rng = np.random.default_rng(0)
-            ii, jj, kk = rng.integers(0, n, size=(3, _ASSOC_SAMPLES))
-            if not np.array_equal(table[table[ii, jj], kk], table[ii, table[jj, kk]]):
-                raise GroupConstructionError("associativity fails on sampled triples")
 
         inverse = np.empty(n, dtype=np.int64)
         for i in range(n):
@@ -224,6 +245,7 @@ def _perm_group(perms: list[tuple[int, ...]], labels: list[str], name: str, spec
 def _cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise DocumentError(f"cyclic group order must be >= 1, got {n}")
+    _check_order(n)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     labels = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
@@ -251,51 +273,20 @@ def _s3() -> FiniteGroup:
 
 
 def _a4() -> FiniteGroup:
-    perms = [
-        (0, 1, 2, 3),  # e
-        (1, 0, 3, 2),  # (12)(34)
-        (2, 3, 0, 1),  # (13)(24)
-        (3, 2, 1, 0),  # (14)(23)
-        (1, 2, 0, 3),  # (123)
-        (2, 0, 1, 3),  # (132)
-        (1, 3, 2, 0),  # (124)
-        (3, 0, 2, 1),  # (142)
-        (2, 1, 3, 0),  # (134)
-        (3, 1, 0, 2),  # (143)
-        (0, 2, 3, 1),  # (234)
-        (0, 3, 1, 2),  # (243)
-    ]
     labels = [
         "e", "(12)(34)", "(13)(24)", "(14)(23)",
         "(123)", "(132)", "(124)", "(142)",
         "(134)", "(143)", "(234)", "(243)",
     ]
-    return _perm_group(perms, labels, "a4", {"kind": "a4"})
+    return _perm_group(A4_PERMUTATIONS, labels, "a4", {"kind": "a4"})
 
 
 def _q8() -> FiniteGroup:
-    # axes 0..3 = 1, i, j, k; element index = 2*axis + (sign < 0)
-    axis_mul = {}
-    for a in range(4):
-        axis_mul[(0, a)] = (1, a)
-        axis_mul[(a, 0)] = (1, a)
-    for a in (1, 2, 3):
-        axis_mul[(a, a)] = (-1, 0)
-    axis_mul[(1, 2)] = (1, 3)
-    axis_mul[(2, 1)] = (-1, 3)
-    axis_mul[(2, 3)] = (1, 1)
-    axis_mul[(3, 2)] = (-1, 1)
-    axis_mul[(3, 1)] = (1, 2)
-    axis_mul[(1, 3)] = (-1, 2)
-
-    table = np.zeros((8, 8), dtype=np.int64)
-    for i in range(8):
-        for j in range(8):
-            sa, aa = (-1 if i & 1 else 1), i >> 1
-            sb, ab = (-1 if j & 1 else 1), j >> 1
-            sc, ac = axis_mul[(aa, ab)]
-            sign = sa * sb * sc
-            table[i, j] = 2 * ac + (0 if sign > 0 else 1)
+    """The Cayley table of ``Q8_MATRICES``: g_i g_j is the element whose
+    matrix equals the (exact) product of theirs."""
+    m = Q8_MATRICES
+    products = m[:, None] @ m[None, :]
+    table = np.argmax((products[:, :, None] == m).all(axis=(3, 4)), axis=2)
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     return FiniteGroup(table, labels, "q8", {"kind": "q8"})
 
@@ -304,6 +295,7 @@ def _product(factors: list[FiniteGroup]) -> FiniteGroup:
     g = factors[0]
     for h in factors[1:]:
         n1, n2 = g.order, h.order
+        _check_order(n1 * n2)
         table = (
             g.cayley[:, None, :, None] * n2 + h.cayley[None, :, None, :]
         ).reshape(n1 * n2, n1 * n2)

@@ -6,9 +6,13 @@ because the Fourier matrix built from it enters emitted documents.
 Custom groups may supply their own set, which goes through the same
 validation as the built-in ones.
 
-Degree-1 entries are exact; the two-dimensional representations use
-eps = (-1 + i*sqrt(3))/2 (a primitive cube root of unity) and the unit
-imaginary, so their entries are exact up to one floating literal.
+Degree-1 entries are exact; the two-dimensional representation of s3
+uses eps = (-1 + i*sqrt(3))/2 (a primitive cube root of unity), so its
+entries are exact up to one floating literal.  q8's degree-2 irrep is
+the quaternion model that defines its Cayley table
+(``groups.Q8_MATRICES``), and a4's degree-3 irrep is the rotation group
+of the tetrahedron, read off a4's permutations of its vertices
+(``groups.A4_PERMUTATIONS``); both are exact.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RepValidationError, UnsupportedGroupError, WhsymmError
-from .groups import ConjugacyPartition, FiniteGroup, build_group, conjugacy_classes
+from .groups import A4_PERMUTATIONS, Q8_MATRICES, ConjugacyPartition, FiniteGroup
+from .groups import build_group, conjugacy_classes
 from .verify import UNITARY_TOL, Check, VerificationReport
 
 REPSET_TOL = 1e-10
@@ -147,54 +152,16 @@ def _q8_irreps() -> tuple[Irrep, ...]:
         ],
         dtype=complex,
     )
-    base = {
-        0: np.eye(2, dtype=complex),                      # 1
-        2: np.array([[1j, 0], [0, -1j]]),                 # i
-        4: np.array([[0, 1], [-1, 0]], dtype=complex),    # j
-        6: np.array([[0, 1j], [1j, 0]]),                  # k
-    }
-    two = np.zeros((8, 2, 2), dtype=complex)
-    for pos, mat in base.items():
-        two[pos] = mat
-        two[pos + 1] = -mat
-    return _char_irreps(chars) + (Irrep(2, two),)
+    return _char_irreps(chars) + (Irrep(2, Q8_MATRICES),)
 
 
-def _a4_three_dim(group: FiniteGroup) -> np.ndarray:
-    """Exact degree-3 representation: the rotation group of the
-    tetrahedron, generated by a cyclic permutation of the axes (the
-    image of the 3-cycle) and a half-turn about the first axis (the
-    image of the double transposition), closed over the Cayley table
-    and checked to be a homomorphism."""
-    gens = {
-        4: np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex),
-        1: np.array([[1, 0, 0], [0, -1, 0], [0, 0, -1]], dtype=complex),
-    }
-    n = group.order
-    table = group.cayley
-    images: dict[int, np.ndarray] = {0: np.eye(3, dtype=complex)}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gen, mg in gens.items():
-                y = int(table[x, gen])
-                if y not in images:
-                    images[y] = images[x] @ mg
-                    nxt.append(y)
-        frontier = nxt
-    # with the generators' own products among them, this also checks
-    # that the closure reached each element by one consistent path
-    if len(images) != n or not all(
-        np.array_equal(images[int(table[x, y])], images[x] @ images[y])
-        for x in range(n)
-        for y in range(n)
-    ):
-        raise WhsymmError("the rotation model is not a representation of a4")
-    return np.stack([images[x] for x in range(n)])
+#: the tetrahedron's vertices v_0..v_3 as columns
+_TETRAHEDRON = np.array([[-1, -1, 1, 1], [-1, 1, -1, 1], [1, -1, -1, 1]])
 
 
 def _a4_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:
+    """Three characters through the quotient of order 3, and the exact
+    rotation irrep R_g = V P_g V^T / 4, which takes v_j to v_g(j)."""
     part = conjugacy_classes(group)
     omega = np.exp(2j * np.pi / 3)
     # the quotient by the double-transposition class is cyclic of order 3;
@@ -205,7 +172,8 @@ def _a4_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:
     for x in part.classes[3]:
         nu[x] = 2
     chars = np.array([np.ones(group.order), omega**nu, omega ** (2 * nu)])
-    return _char_irreps(chars) + (Irrep(3, _a4_three_dim(group)),)
+    rotations = _TETRAHEDRON[:, A4_PERMUTATIONS].transpose(1, 0, 2) @ _TETRAHEDRON.T / 4
+    return _char_irreps(chars) + (Irrep(3, rotations),)
 
 
 def _product_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:
@@ -322,16 +290,23 @@ def validate_repset(group: FiniteGroup, repset: RepSet, tol: float = REPSET_TOL)
     )
     checks.append(Check("unitarity", res, tol))
 
-    rows = []
-    for r in repset.irreps:
-        flat = r.matrices.transpose(0, 2, 1).reshape(n, r.degree * r.degree)
-        rows.append(np.sqrt(r.degree) * flat.T)
-    m = np.vstack(rows)
+    m = _fourier_rows(repset, n)
     gram = m @ m.conj().T / n
     res = float(np.max(np.abs(gram - np.eye(m.shape[0]))))
     checks.append(Check("orthogonality", res, tol))
 
     return VerificationReport(tuple(checks), subject="representation set")
+
+
+def _fourier_rows(repset: RepSet, n: int) -> np.ndarray:
+    """sqrt(d) * phi_ij(g) for each irrep, (i, j) column-major: the
+    Fourier matrix before its 1 / sqrt(n)."""
+    return np.vstack(
+        [
+            np.sqrt(r.degree) * r.matrices.transpose(0, 2, 1).reshape(n, r.degree * r.degree).T
+            for r in repset.irreps
+        ]
+    )
 
 
 def character_table(repset: RepSet, partition: ConjugacyPartition | None = None) -> CharacterTable:
@@ -355,21 +330,17 @@ def character_table(repset: RepSet, partition: ConjugacyPartition | None = None)
 def fourier_matrix(repset: RepSet) -> FourierMatrixGroup:
     """Unitary change of basis that block-diagonalizes every group-symbol
     matrix over this group."""
-    group = repset.group
-    n = group.order
-    blocks = []
+    n = repset.group.order
     row_slices = []
     start = 0
-    for r in repset.irreps:
-        flat = r.matrices.transpose(0, 2, 1).reshape(n, r.degree * r.degree)
-        blocks.append(np.sqrt(r.degree) * flat.T)
-        row_slices.append(slice(start, start + r.degree * r.degree))
-        start += r.degree * r.degree
+    for d in repset.degrees:
+        row_slices.append(slice(start, start + d * d))
+        start += d * d
     if start != n:
         raise RepValidationError(
             f"representation set is incomplete: sum of squared degrees is {start}, not {n}"
         )
-    f = np.vstack(blocks) / np.sqrt(n)
+    f = _fourier_rows(repset, n) / np.sqrt(n)
     res = float(np.max(np.abs(f @ f.conj().T - np.eye(n))))
     if res > UNITARY_TOL:
         raise RepValidationError(f"Fourier matrix is not unitary: residual {res:.3g}")

@@ -9,6 +9,9 @@ facts about the catalog groups (orders, class counts, commutator
 indices, quaternion relations) are asserted directly.
 """
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -282,10 +285,37 @@ class TestValidation:
         with pytest.raises(UnsupportedGroupError):
             build_group({"kind": "cyclic", "n": 257})
 
-    def test_large_group_sampled_validation(self):
+    def test_oversized_builders_decline_before_building_a_table(self):
+        # the order alone declines: no n x n table of 4096 is allocated
+        specs = [
+            {"kind": "cyclic", "n": 4096},
+            {"kind": "product", "factors": [{"kind": "cyclic", "n": 64}] * 2},
+        ]
+        for spec in specs:
+            tracemalloc.start()
+            try:
+                with pytest.raises(UnsupportedGroupError, match="4096") as exc:
+                    build_group(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert exc.value.exit_code == 4
+            assert peak < 2**20, (spec, peak)
+
+    def test_large_group_full_validation(self):
         g = build_group({"kind": "cyclic", "n": 128})
         assert g.order == 128
         assert element_order(g.cayley.tolist(), 1) == 128
+
+    def test_associativity_is_checked_on_every_triple(self):
+        # swapping an intercalate of cyclic(128) keeps a Latin square with
+        # identity and inverses; only some triples show it is no group
+        table = build_group({"kind": "cyclic", "n": 128}).cayley.copy()
+        table[1, 2], table[1, 66], table[65, 2], table[65, 66] = 67, 3, 3, 67
+        with pytest.raises(GroupConstructionError, match="associativity fails at") as exc:
+            FiniteGroup(table, [f"g{i}" for i in range(128)], "tampered", {})
+        i, j, k = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(exc.value)).groups())
+        assert table[table[i, j], k] != table[i, table[j, k]]
 
 
 class TestBuildGroup:

@@ -8,6 +8,8 @@ relations, and unitarity of the Fourier matrix by F F^H = I.  Textbook
 character values for S3, Q8, A4 are asserted directly.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,32 @@ class TestIrrepLaws:
             for irrep, mats in zip(got, want):
                 assert irrep.degree == mats.shape[1]
                 assert np.array_equal(irrep.matrices, mats)
+
+    def test_frozen_q8_and_a4_data(self):
+        # SHA-256 of the Cayley table and of the largest irrep's matrices,
+        # recorded when they came from a hand-written sign table (q8) and
+        # rotation generators (a4), so that no change of defining model
+        # can move the frozen data; adding 0 clears signs of zero
+        frozen = {
+            "q8": (
+                "9a2ee5146c11f4b9255cac57e2934defd3be210d226f88523c7463b0619ac392",
+                "d7fa8f9bee49c8a4769adfa9ef65e5ae3b33b302f58d46532ad5c1328bab1f87",
+            ),
+            "a4": (
+                "225c1bed2d1566f69bd36185552a0ff11eecc4df14754a9ddfa6ef3c0192932e",
+                "3fba42aa0a88d8d2f15e0948856dac8d84ad755472f389582ff7778de1f26691",
+            ),
+        }
+        def digest(arr):
+            return hashlib.sha256((arr + 0).tobytes()).hexdigest()
+
+        for kind, (table_sha, irrep_sha) in frozen.items():
+            g = build_group({"kind": kind})
+            top = irreps_for(g).irreps[-1]
+            assert top.degree == {"q8": 2, "a4": 3}[kind]
+            assert g.cayley.dtype == np.int64 and top.matrices.dtype == complex
+            assert digest(g.cayley) == table_sha
+            assert digest(top.matrices) == irrep_sha
 
     def test_unsupported_group_has_no_repset(self):
         g = build_group({"kind": "custom", "cayley": [[0, 1], [1, 0]]})
