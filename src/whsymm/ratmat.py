@@ -322,7 +322,10 @@ class GridEvaluator:
             # C order, points first, so that a product of samples reads them contiguously
             out = np.take(acc.T, self.where, axis=1).reshape(pts.size, *self.shape)
         for c, left in reversed(consts):
-            out = c @ out if left else out @ c
+            # A C is one (N rows, n) by (n, n) product, which gives each
+            # point the bits of its own; C A stays one product per point,
+            # whose transposed single product differs in its last bits
+            out = c @ out if left else (out.reshape(-1, out.shape[-1]) @ c).reshape(out.shape)
         return out
 
 

@@ -17,7 +17,9 @@ leaf's zeros in the disk are counted from eigenvalues: its rows are
 cleared of their denominators, and the zeros of the resulting
 polynomial matrix are the eigenvalues of a block companion, each
 accepted only with an inclusion disk clear of the circle; a triangular
-leaf is split into its diagonal entries first.  A leaf the eigenvalues
+leaf is split into its diagonal entries first.  The leaves are counted
+in stacks, one per degree and size of their cleared rows, with the
+inclusion disks each leaf gets alone.  A leaf the eigenvalues
 leave unresolved is counted from LU samples of its determinant instead
 (_det_winding).  So the index oracle on the target never reads a
 Fourier construction.
@@ -305,19 +307,23 @@ def _cleared_rows(m: RationalMatrix, inside: dict | None = None) -> tuple[np.nda
             if inside[key] is None:
                 return None
             shift -= inside[key]
-        # each denominator's cofactor: the product of the row's others
+        # each denominator's cofactor: the product of the row's others,
+        # none when the row has one denominator
         cof = {}
-        for key in dens:
-            c = np.ones(1, dtype=complex)
-            for other, den in dens.items():
-                if other != key:
-                    c = np.convolve(c, den)
-            cof[key] = c
+        if len(dens) > 1:
+            for key in dens:
+                c = np.ones(1, dtype=complex)
+                for other, den in dens.items():
+                    if other != key:
+                        c = np.convolve(c, den)
+                cof[key] = c
         lo = min(e.num.min_deg for _, e in live)
         shift += lo
-        rows.append(
-            [(j, e.num.min_deg - lo, np.convolve(e.num.coeffs, cof[e.den.coeffs.tobytes()])) for j, e in live]
-        )
+        row = []
+        for j, e in live:
+            c = np.convolve(e.num.coeffs, cof[e.den.coeffs.tobytes()]) if cof else e.num.coeffs
+            row.append((j, e.num.min_deg - lo, c))
+        rows.append(row)
     deg = max(k + c.size - 1 for row in rows for _, k, c in row)
     if deg**3 >= _WINDING_FLOOR:
         return None
@@ -351,46 +357,84 @@ def _rotation(deg: int) -> np.ndarray:
     return rot
 
 
-def _disk_zero_count(p: np.ndarray) -> int | None:
+def _disk_zero_count(p: np.ndarray) -> list[int | None] | int | None:
     """Zeros of det P(t) in the open unit disk, P(t) = sum_k p[k] t^k,
     counted as the eigenvalues in the disk of the block companion C of
     the rotation Q(s) = (1 + conj(a) s)^D P((s + a) / (1 + conj(a) s)).
+
+    p is a (k, D+1, n, n) stack of such polynomials, of one degree D and
+    size n, and the k counts come back as a list; a (D+1, n, n) array is
+    a stack of one and gets its count.  The stack is counted in chunks of
+    at most _CHUNK_BYTES working memory, each with one stacked call of
+    the rotation, svd, solve, eig and inv.  These run the routine of a
+    single call on each polynomial's own bytes, so every count is the one
+    its stack of one gives.  A chunk whose eig or inv raises is counted
+    again one polynomial at a time.
 
     The rotation maps the disk onto itself and makes the leading
     coefficient conj(a)^D P(1 / conj(a)), invertible unless det P
     vanishes identically (or at 1 / conj(a)).  Eigenvalue lambda_k is
     taken to lie within r_k = _EIG_DISK eps ||C||_F kappa_k of a zero,
     kappa_k = ||V[:, k]|| ||V^-1[k, :]|| its condition number, which
-    covers the eps^(1/m) scatter of an m-fold zero as well.  None when
-    any disk meets the circle, the leading coefficient is singular to
-    working precision, or anything is not finite.
+    covers the eps^(1/m) scatter of an m-fold zero as well.  A count is
+    None when any disk meets the circle, the leading coefficient is
+    singular to working precision, or anything is not finite.
     """
-    deg, n = p.shape[0] - 1, p.shape[1]
-    if not np.all(np.isfinite(p)):
-        return None
-    q = np.tensordot(_rotation(deg), p, axes=1)
-    sv = np.linalg.svd(q[deg], compute_uv=False)
-    if not sv[-1] * _LEAD_COND > sv[0]:
-        return None
+    stack = p.reshape(-1, *p.shape[-3:])
+    deg, n = stack.shape[1] - 1, stack.shape[2]
+    # the companion, its eigenvectors, their inverse and the rotated
+    # coefficients, 16 bytes an entry
+    step = max(1, _CHUNK_BYTES // (64 * n * n * (deg + 1) ** 2))
+    counts = []
+    for a in range(0, stack.shape[0], step):
+        counts.extend(_chunk_zero_counts(stack[a : a + step]))
+    return counts if p.ndim == 4 else counts[0]
+
+
+def _chunk_zero_counts(stack: np.ndarray) -> list[int | None]:
+    """_disk_zero_count of each polynomial of a (k, D+1, n, n) stack,
+    with one stacked call of each routine."""
+    k, deg, n = stack.shape[0], stack.shape[1] - 1, stack.shape[2]
+    counts: list[int | None] = [None] * k
+    live = np.flatnonzero(np.all(np.isfinite(stack), axis=(1, 2, 3)))
+    # one (D+1, D+1) by (D+1, n^2) product per polynomial
+    q = (_rotation(deg) @ stack[live].reshape(-1, deg + 1, n * n)).reshape(-1, deg + 1, n, n)
+    sv = np.linalg.svd(q[:, deg], compute_uv=False)
+    keep = sv[:, -1] * _LEAD_COND > sv[:, 0]
+    live, q = live[keep], q[keep]
     if deg == 0:
-        return 0
-    comp = np.zeros((n * deg, n * deg), dtype=complex)
-    comp[:n] = -np.linalg.solve(q[deg], np.concatenate(q[deg - 1 :: -1], axis=1))
-    comp[n:, :-n] = np.eye(n * (deg - 1))
-    if not np.all(np.isfinite(comp)):
-        return None
+        # a constant P with an invertible value has no zeros
+        for i in live:
+            counts[i] = 0
+        return counts
+    comp = np.zeros((live.size, n * deg, n * deg), dtype=complex)
+    # -Q_D^-1 [Q_(D-1) ... Q_0]
+    rest = q[:, deg - 1 :: -1].transpose(0, 2, 1, 3).reshape(-1, n, n * deg)
+    comp[:, :n] = -np.linalg.solve(q[:, deg], rest)
+    comp[:, n:, :-n] = np.eye(n * (deg - 1))
+    finite = np.all(np.isfinite(comp), axis=(1, 2))
+    live, comp = live[finite], comp[finite]
     try:
         lam, vec = np.linalg.eig(comp)
         left = np.linalg.inv(vec)
     except np.linalg.LinAlgError:
-        return None
+        if live.size > 1:
+            for i in live:
+                counts[i] = _chunk_zero_counts(stack[i : i + 1])[0]
+        return counts
+    re, im = (part.reshape(-1, 1, (n * deg) ** 2) for part in (comp.real, comp.imag))
     with np.errstate(over="ignore", invalid="ignore"):
-        # eig returns unit eigenvectors, so kappa_k is the norm of row k of V^-1
-        radius = _EIG_DISK * np.finfo(float).eps * np.linalg.norm(comp) * np.linalg.norm(left, axis=1)
-        clear = np.abs(np.abs(lam) - 1.0) > radius
-    if not np.all(clear):
-        return None
-    return int(np.count_nonzero(np.abs(lam) < 1.0))
+        # ||C||_F as np.linalg.norm sums one matrix, a dot product of its
+        # real parts and one of its imaginary parts; eig returns unit
+        # eigenvectors, so kappa_k is the norm of row k of V^-1
+        norm = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
+        radius = _EIG_DISK * np.finfo(float).eps * norm * np.linalg.norm(left, axis=-1)
+        clear = np.all(np.abs(np.abs(lam) - 1.0) > radius, axis=1)
+    inner = np.count_nonzero(np.abs(lam) < 1.0, axis=1)
+    for i, ok, c in zip(live, clear, inner):
+        if ok:
+            counts[i] = int(c)
+    return counts
 
 
 def det_index_oracle(m: RationalMatrix, grid: CircleGrid | int = 512) -> int:
@@ -401,26 +445,31 @@ def det_index_oracle(m: RationalMatrix, grid: CircleGrid | int = 512) -> int:
     _det_parts, each counted with its multiplicity; a matrix without a
     record is its own single leaf.  A leaf is counted from eigenvalues:
     its winding is L + #zeros of det P in the disk - sum_i #zeros of q_i
-    in the disk, with P, L and q_i as _cleared_rows forms them.  When
-    that count is not certified (_cleared_rows, _disk_zero_count), the
-    leaf's winding comes from determinant samples (_det_winding);
-    ``grid`` sets their minimum number, refined automatically until the
-    winding is resolved.  The leaves share one count of each
-    denominator's zeros in the disk, so the 1 x 1 leaves of a stitched
-    factor, all over one denominator, count it once.
+    in the disk, with P, L and q_i as _cleared_rows forms them.  The
+    leaves whose P share a degree and size are counted together, one
+    stack per (D, n).  When a count is not certified (_cleared_rows,
+    _disk_zero_count), the leaf's winding comes from determinant samples
+    (_det_winding); ``grid`` sets their minimum number, refined
+    automatically until the winding is resolved.  The leaves share one
+    count of each denominator's zeros in the disk, so the 1 x 1 leaves
+    of a stitched factor, all over one denominator, count it once.
     """
     n0 = grid if isinstance(grid, int) else grid.n
     inside: dict[bytes, int | None] = {}
-    return sum(k * _leaf_winding(leaf, n0, inside) for leaf, k in _det_parts(m)[1])
-
-
-def _leaf_winding(m: RationalMatrix, n0: int, inside: dict) -> int:
-    cleared = _cleared_rows(m, inside)
-    if cleared is not None:
-        count = _disk_zero_count(cleared[0])
-        if count is not None:
-            return cleared[1] + count
-    return _det_winding(m, n0)
+    leaves = _det_parts(m)[1]
+    cleared = [_cleared_rows(leaf, inside) for leaf, _ in leaves]
+    stacks: dict[tuple[int, ...], list[int]] = {}
+    for i, c in enumerate(cleared):
+        if c is not None:
+            stacks.setdefault(c[0].shape, []).append(i)
+    counts: list[int | None] = [None] * len(leaves)
+    for which in stacks.values():
+        for i, count in zip(which, _disk_zero_count(np.stack([cleared[i][0] for i in which]))):
+            counts[i] = count
+    return sum(
+        k * (_det_winding(leaf, n0) if count is None else c[1] + count)
+        for (leaf, k), c, count in zip(leaves, cleared, counts)
+    )
 
 
 def _minus_entry_violation(sym: RationalSymbol) -> float:
@@ -561,20 +610,22 @@ def verify_matrix_factorization(
     minus, d, plus = fac.minus, list(fac.d), fac.plus
 
     def worst(m: RationalMatrix, violation, left: bool):
-        # a violation reads only the denominator and the numerator's
-        # degree span, so the copies of one entry in the rows of C A share
-        # a value; a later duplicate never changes the running max.  A
-        # factor in _leaf_form has its leaves' violations, for every leaf
-        # with a nonzero column (row) of C; its other entries are zero
+        # a violation reads only the denominator's coefficients and the
+        # numerator's degree span, so entries that share them, such as the
+        # copies of one entry in the rows of C A or leaves over one
+        # denominator, share a value; a later duplicate never changes the
+        # running max.  A factor in _leaf_form has its leaves' violations,
+        # for every leaf with a nonzero column (row) of C; its other
+        # entries are zero
         form = _leaf_form(m, left)
         if form is None:
             entries = [e for row in m.rows for e in row]
         else:
             live = np.any(form[0] != 0, axis=0 if left else 1)
             entries = [s for s, keep in zip(form[1], live) if keep]
-        seen: dict[tuple[int, int, int], float] = {}
+        seen: dict[tuple[bytes, int, int], float] = {}
         for e in entries:
-            key = (id(e.den), e.num.min_deg, e.num.coeffs.size)
+            key = (e.den.coeffs.tobytes(), e.num.min_deg, e.num.coeffs.size)
             if key not in seen:
                 seen[key] = violation(e)
         return max(seen.values(), default=0.0), ""

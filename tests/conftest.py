@@ -103,16 +103,21 @@ def diag_power_eval(d, pts):
     return out
 
 
-def dominant_cyclic_symbol(n, seed):
-    """A cyclic(n) group symbol whose identity coefficient dominates, so
-    every block stays well-posed."""
+def dominant_symbol(spec, seed):
+    """A group symbol whose identity coefficient dominates, so every
+    block stays well-posed."""
+    group = build_group(spec)
     rng = np.random.default_rng(seed)
     lead = RationalSymbol(LaurentPoly.from_roots([0.5, 3.0], 4.0), LaurentPoly.from_roots([0.2]))
     small = [
         RationalSymbol.from_poly(LaurentPoly(-1, 0.05 * rng.normal(size=3)))
-        for _ in range(n - 1)
+        for _ in range(group.order - 1)
     ]
-    return GroupSymbol(build_group({"kind": "cyclic", "n": n}), [lead] + small)
+    return GroupSymbol(group, [lead] + small)
+
+
+def dominant_cyclic_symbol(n, seed):
+    return dominant_symbol({"kind": "cyclic", "n": n}, seed)
 
 
 def planted_blocks(spec, seed, corner=None):

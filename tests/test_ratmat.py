@@ -243,6 +243,30 @@ class TestEvaluation:
             dens = {e.den.coeffs.tobytes() for e in live.values()}
             assert GridEvaluator(mat).horner.shape[1] == len(live) + 1 + len(dens)
 
+    def test_right_constant_is_one_product(self):
+        # A C is evaluated as one (N n, n) by (n, n) product, with the
+        # bits of numpy's product per point: for the plus factors of
+        # planted triangular factorizations that keep the entry path (an
+        # a4 block of degree 3 gets no corner, so a4's are diagonal), and
+        # at orders 6 to 32
+        pts = CircleGrid(512).points
+        rng = np.random.default_rng(5050_14)
+        cases = []
+        for spec in ({"kind": "s3"}, {"kind": "q8"}, {"kind": "a4"}):
+            for corner in ("upper", "lower"):
+                repset, blocks = planted_blocks(spec, 3, corner)
+                bd, f = BlockDiagonal(repset, tuple(blocks)), fourier_matrix(repset)
+                fac = assemble_full_factorization(bd, [factor_block(b) for b in blocks], f)
+                if not GridEvaluator(fac.plus).diagonal:
+                    cases.append(fac.plus)
+        assert len(cases) == 4
+        for n in (6, 12, 24, 32):
+            c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            cases.append(random_matrix(rng, n, n).const_mul_right(c))
+        for mat in cases:
+            core, c = mat.pieces
+            assert np.array_equal(GridEvaluator(mat)(pts), GridEvaluator(core)(pts) @ c)
+
     def test_samples_are_points_first_in_c_order(self):
         # a product of samples reads each point's matrix contiguously
         rng = np.random.default_rng(5050_13)

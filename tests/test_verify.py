@@ -52,6 +52,7 @@ from whsymm.documents import parse_factorization, serialize_factorization
 from conftest import (
     diag_power_eval,
     dominant_cyclic_symbol,
+    dominant_symbol,
     draw_group_symbol,
     planted_blocks,
     random_center_symbol,
@@ -157,6 +158,47 @@ class TestCheckMechanics:
         for chunks in ([nan, bad], [bad, nan]):
             check = verify.reconstruction_check(chunks, 1e-10)
             assert np.isnan(check.residual) and not check.passed
+
+
+def sweep_matrices():
+    """Every matrix of the three near-circle sweeps: the root clusters of
+    test_cluster_sweep_is_right_or_declined in each shape, the pole
+    clusters of test_pole_clusters_are_right_or_declined, and the 1 x 1
+    root clusters of test_symbols'
+    test_root_clusters_near_the_circle_are_right_or_declined."""
+    for m in range(1, 15):
+        for d in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.03, 0.1, 0.3):
+            for side in (-1, 1):
+                for k in range(6):
+                    r = (1.0 + side * d) * np.exp(1j * (0.3 + 2.0 * np.pi * k / 6))
+                    for shape in SHAPES:
+                        yield planted_det_matrix([r] * m, shape=shape)
+    one, two = RationalSymbol.const(1.0), RationalSymbol.const(2.0)
+    for m in range(1, 7):
+        for d in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+            for side in (-1, 1):
+                for k in range(6):
+                    r = (1.0 + side * d) * np.exp(1j * (0.3 + 2.0 * np.pi * k / 6))
+                    pole = RationalSymbol(LaurentPoly.const(1.0), LaurentPoly.from_roots([r] * m))
+                    yield RationalMatrix([[pole, one], [one, two]])
+    for m in range(2, 7):
+        for d in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+            for side in (-1, 1):
+                for theta in (0.0, 0.8, 2.1, 4.4):
+                    r = (1.0 + side * d) * np.exp(1j * theta)
+                    yield RationalMatrix([[RationalSymbol.from_poly(LaurentPoly.from_roots([r] * m))]])
+
+
+def count_inputs(m):
+    """Every array det_index_oracle(m) gives the eigenvalue count: each
+    leaf's cleared rows and each of its denominators, keyed by bytes."""
+    out = {}
+    for leaf, _ in verify._det_parts(m)[1]:
+        cleared = verify._cleared_rows(leaf)
+        dens = [e.den.coeffs[:, None, None] for row in leaf.rows for e in row if not e.is_zero]
+        for p in ([] if cleared is None else [cleared[0]]) + dens:
+            out[p.tobytes()] = p
+    return out
 
 
 class TestDetIndexOracle:
@@ -368,6 +410,57 @@ class TestDetIndexOracle:
             assert m.pieces is not None
             with pytest.raises(NotInvertibleOnCircleError, match="det nearly vanishes on the circle"):
                 det_index_oracle(m)
+
+
+    def test_stacked_counts_match_stacks_of_one(self, monkeypatch):
+        # every polynomial the oracle counts for the leaves of every
+        # catalog group and center factorization and for every case of
+        # the three near-circle sweeps: counted in stacks of one (D, n),
+        # whole and in chunks of a few, each count is the one its stack
+        # of one gives, None included
+        inputs = {}
+        for _, target, fac in leaf_cases():
+            for m in (target, fac.minus, fac.plus):
+                inputs.update(count_inputs(m))
+        for m in sweep_matrices():
+            inputs.update(count_inputs(m))
+        stacks = {}
+        for p in inputs.values():
+            stacks.setdefault(p.shape, []).append(p)
+        want = {shape: [verify._disk_zero_count(p) for p in ps] for shape, ps in stacks.items()}
+        for shape, ps in stacks.items():
+            assert verify._disk_zero_count(np.stack(ps)) == want[shape], shape
+        counts = [c for w in want.values() for c in w]
+        assert None in counts and len(counts) - counts.count(None) > 900
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 1 << 12)
+        for shape, ps in stacks.items():
+            assert verify._disk_zero_count(np.stack(ps)) == want[shape], shape
+
+        # good leaves stacked with a zero leaf, one whose determinant
+        # vanishes identically (a singular leading coefficient) and
+        # non-finite ones keep their counts, also when eig or inv fails
+        # on the whole stack and the chunk is counted one leaf at a time
+        good = [verify._cleared_rows(planted_det_matrix([r] * 3))[0] for r in (0.5, 2.0, 0.9j, -1.5)]
+        singular = good[0].copy()
+        singular[:, 1] = singular[:, 0]
+        nan, inf = good[1].copy(), good[2].copy()
+        nan[1, 0, 1], inf[3, 1, 1] = np.nan, np.inf
+        stack = np.stack([good[0], np.zeros_like(good[0]), good[1], singular, good[2], nan, inf, good[3]])
+        alone = [verify._disk_zero_count(p) for p in good]
+        assert alone == [3, 0, 3, 0]
+        mixed = [alone[0], None, alone[1], None, alone[2], None, None, alone[3]]
+        assert verify._disk_zero_count(stack) == mixed
+        for name in ("eig", "inv"):
+            routine = getattr(np.linalg, name)
+
+            def single(a, routine=routine):
+                if a.ndim == 3 and a.shape[0] > 1:
+                    raise np.linalg.LinAlgError("stacked call refused")
+                return routine(a)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, name, single)
+                assert verify._disk_zero_count(stack) == mixed
 
 
 def planted_case(spec, seed, corner=None):
@@ -803,6 +896,27 @@ class TestVerifyMatrixFactorization:
         assert verify._rotation(6) is verify._rotation(6)
         assert not verify._rotation(6).flags.writeable
 
+    def test_oracle_counts_leaves_in_stacks(self, monkeypatch):
+        # the 2 x 32 leaves of a stitched cyclic(32) factorization: each
+        # oracle call makes one eigenvalue count per (D, n) of its leaves'
+        # cleared rows and one per distinct denominator, not one per leaf
+        target, fac = cyclic_case(32, 7032)
+        bound = {}
+        for m in (target, fac.minus, fac.plus):
+            leaves = [leaf for leaf, _ in verify._det_parts(m)[1]]
+            shapes = {verify._cleared_rows(leaf)[0].shape for leaf in leaves}
+            entries = [e for leaf in leaves for row in leaf.rows for e in row if not e.is_zero]
+            bound[id(m)] = len(shapes) + len({e.den.coeffs.tobytes() for e in entries})
+        assert len(verify._det_parts(fac.minus)[1]) == len(verify._det_parts(fac.plus)[1]) == 32
+        oracle, count = verify.det_index_oracle, verify._disk_zero_count
+        calls = []
+        monkeypatch.setattr(verify, "det_index_oracle", lambda m, n=512: calls.append((m, [])) or oracle(m, n))
+        monkeypatch.setattr(verify, "_disk_zero_count", lambda p: calls[-1][1].append(p.shape) or count(p))
+        assert verify_matrix_factorization(target, fac).passed
+        assert sorted(id(m) for m, _ in calls) == sorted(bound)
+        for m, shapes in calls:
+            assert len(shapes) <= bound[id(m)] < 32, shapes
+
     @pytest.mark.parametrize("n", [24, 32, 48, 64])
     def test_det_range_beyond_1e13_passes_index_sum(self, n):
         # |det| of this target varies by more than 1e13 over the circle,
@@ -823,6 +937,15 @@ class TestVerifyMatrixFactorization:
         t0 = time.perf_counter()
         target, fac = cyclic_case(256, 1)
         report = verify_matrix_factorization(target, fac)
+        assert report.passed, report.to_text()
+        assert time.perf_counter() - t0 < 15.0
+
+    def test_factor_and_verify_a_product_at_the_size_cap(self):
+        # product(c16, c16), order 256: factoring and verifying pass
+        # within 15 s
+        t0 = time.perf_counter()
+        gs = dominant_symbol({"kind": "product", "factors": [{"kind": "cyclic", "n": 16}] * 2}, 1)
+        report = verify_matrix_factorization(assemble_matrix(gs), factor_group_symbol(gs))
         assert report.passed, report.to_text()
         assert time.perf_counter() - t0 < 15.0
 
